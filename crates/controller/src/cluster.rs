@@ -418,23 +418,6 @@ impl ClusterState {
         }
         out
     }
-
-    /// Fold another lane's cluster counters into this one (shard merge).
-    /// Only the hub lane ever transitions state, so the fold is purely
-    /// additive over counters.
-    pub fn absorb_counters(&mut self, other: &ClusterState) {
-        self.stats.handoffs += other.stats.handoffs;
-        self.stats.handoff_exceeded += other.stats.handoff_exceeded;
-        self.stats.pending_enq += other.stats.pending_enq;
-        self.stats.pending_rel += other.stats.pending_rel;
-        self.stats.crashes += other.stats.crashes;
-        self.stats.recoveries += other.stats.recoveries;
-        self.stats.partitions += other.stats.partitions;
-        for (d, o) in self.decisions.iter_mut().zip(other.decisions.iter()) {
-            *d += *o;
-        }
-        self.handoff_ns.merge(&other.handoff_ns);
-    }
 }
 
 #[cfg(test)]
@@ -581,16 +564,5 @@ mod tests {
         // sends a message.
         c.crash(t(0), 1, &switches(4));
         assert_eq!(c.master_view(NodeId(7)), MasterView::Master(2));
-    }
-
-    #[test]
-    fn absorb_counters_is_additive() {
-        let mut a = cluster(2);
-        let mut b = cluster(2);
-        b.crash(t(0), 1, &switches(2));
-        b.settle(t(500));
-        a.absorb_counters(&b);
-        assert_eq!(a.stats().crashes, 1);
-        assert_eq!(a.stats().handoffs, 1);
     }
 }

@@ -18,7 +18,6 @@ pub mod dense;
 pub mod flow;
 pub mod link;
 pub mod packet;
-pub mod partition;
 pub mod topology;
 pub mod tunnel;
 
@@ -26,6 +25,5 @@ pub use dense::NodeMap;
 pub use flow::{FlowId, FlowKey, IpAddr, Protocol};
 pub use link::{LinkId, LinkSpec, TxResult};
 pub use packet::{Label, LabelStack, Packet, PacketKind};
-pub use partition::Partition;
 pub use topology::{NodeId, NodeKind, PortId, Topology};
 pub use tunnel::{Tunnel, TunnelId, TunnelTable};

@@ -224,13 +224,6 @@ impl Topology {
         self.fault_rng = Some(rng);
     }
 
-    /// True when random link loss is armed. Sharded execution checks this:
-    /// per-shard topology clones would each advance their own copy of the
-    /// loss RNG, so lossy-link scenarios must run sequentially.
-    pub fn has_fault_injection(&self) -> bool {
-        self.fault_rng.is_some()
-    }
-
     /// Offer a packet to the link attached to `(from, out_port)`.
     ///
     /// On success returns where and when the packet lands.
@@ -292,27 +285,6 @@ impl Topology {
     /// Total packets dropped across all link queues.
     pub fn total_link_drops(&self) -> u64 {
         self.links.iter().map(|(_, s)| s.drops()).sum()
-    }
-
-    /// Adopt the link states of `other` (a structurally identical clone of
-    /// this topology) for every directed link whose transmitting endpoint
-    /// satisfies `owns_from`.
-    ///
-    /// Sharded execution clones the topology per shard; each shard only
-    /// ever transmits on links whose `from` node it owns, so merging the
-    /// owned states back reconstructs the counters a sequential run would
-    /// have accumulated in one topology.
-    pub fn adopt_link_states(&mut self, other: &Topology, owns_from: impl Fn(NodeId) -> bool) {
-        assert_eq!(
-            self.links.len(),
-            other.links.len(),
-            "adopt_link_states requires structurally identical topologies"
-        );
-        for (ours, theirs) in self.links.iter_mut().zip(other.links.iter()) {
-            if owns_from(theirs.0.from) {
-                ours.1 = theirs.1.clone();
-            }
-        }
     }
 
     /// Unweighted shortest path (BFS by hop count) from `src` to `dst`,

@@ -24,7 +24,6 @@ pub struct JobCtx {
     kpis: Vec<(String, f64)>,
     metrics: Vec<(String, f64)>,
     checks: Vec<(String, String)>,
-    timings: Vec<(String, f64)>,
 }
 
 impl JobCtx {
@@ -63,14 +62,6 @@ impl JobCtx {
     /// Verdicts must be deterministic in `(job, seed)` like KPIs.
     pub fn check(&mut self, name: &str, verdict: impl Into<String>) {
         self.checks.push((name.to_string(), verdict.into()));
-    }
-
-    /// Record a named wall-clock measurement (utilization, stall fraction,
-    /// speedup inputs). Unlike KPIs these are explicitly machine-dependent:
-    /// they appear only in the manifest's per-job `timing` object and are
-    /// stripped from normalized manifests.
-    pub fn timing(&mut self, name: &str, value: f64) {
-        self.timings.push((name.to_string(), value));
     }
 }
 
@@ -116,8 +107,6 @@ pub struct JobResult<T> {
     pub metrics: Vec<(String, f64)>,
     /// Named check verdicts reported via [`JobCtx::check`].
     pub checks: Vec<(String, String)>,
-    /// Wall-clock measurements reported via [`JobCtx::timing`].
-    pub timings: Vec<(String, f64)>,
 }
 
 impl<T> JobResult<T> {
@@ -375,7 +364,6 @@ fn execute<T>(job: Job<T>) -> JobResult<T> {
         kpis: Vec::new(),
         metrics: Vec::new(),
         checks: Vec::new(),
-        timings: Vec::new(),
     };
     let begun = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| work(&mut ctx))).map_err(|payload| {
@@ -396,6 +384,5 @@ fn execute<T>(job: Job<T>) -> JobResult<T> {
         kpis: ctx.kpis,
         metrics: ctx.metrics,
         checks: ctx.checks,
-        timings: ctx.timings,
     }
 }

@@ -221,15 +221,8 @@ pub struct ScotchApp {
     /// a disabled recorder costs one branch per site (DESIGN.md §10).
     pub trace: TraceRecorder,
     /// Causal flow-journey recorder (DESIGN.md §14). Disabled by default;
-    /// unlike `trace` it stays enabled on every shard lane — journey marks
-    /// are canonical output, merged and re-sorted at report time.
+    /// journey marks are canonical output, re-sorted at report time.
     pub journeys: JourneyRecorder,
-    /// Journal of flow-path mutations `(time, key, path after mutation)`.
-    /// `None` (and zero-cost) in sequential runs; sharded execution enables
-    /// it on the controller shard so the epoch driver, which applies host
-    /// deliveries at barriers, can resolve a flow's `served_by` as of its
-    /// first delivery time.
-    pub flow_journal: Option<Vec<(SimTime, FlowKey, Option<FlowPath>)>>,
     /// Controller-cluster mastership state (DESIGN.md §16). `None` (the
     /// default, `controllers: 1`) keeps the single-controller engine on
     /// exactly its old code path — every cluster hook is gated on this.
@@ -274,17 +267,7 @@ impl ScotchApp {
             stats: AppStats::default(),
             trace: TraceRecorder::disabled(),
             journeys: JourneyRecorder::disabled(),
-            flow_journal: None,
             cluster,
-        }
-    }
-
-    /// Append the post-mutation path of `key` to the shard journal. No-op
-    /// in sequential runs, where `deliver` reads the flowdb directly.
-    fn journal_flow(&mut self, now: SimTime, key: FlowKey) {
-        if let Some(journal) = self.flow_journal.as_mut() {
-            let path = self.flowdb.get(&key).map(|info| info.path);
-            journal.push((now, key, path));
         }
     }
 
@@ -511,7 +494,6 @@ impl ScotchApp {
                         };
                         if ends_flow {
                             self.flowdb.remove(&key);
-                            self.journal_flow(now, key);
                         }
                     }
                 }
@@ -804,7 +786,6 @@ impl ScotchApp {
 
         self.flowdb
             .record(pf.key, pf.origin, pf.origin_port, now, FlowPath::Physical);
-        self.journal_flow(now, pf.key);
         self.journey_decision(now, &pf.packet, pf.origin, VERDICT_DIRECT);
         self.stats.physical_admitted += 1;
         self.trace.record(
@@ -964,7 +945,6 @@ impl ScotchApp {
 
         self.flowdb
             .record(pf.key, pf.origin, pf.origin_port, now, FlowPath::Overlay);
-        self.journal_flow(now, pf.key);
         self.journey_decision(now, &pf.packet, pf.origin, VERDICT_OVERLAY);
         self.stats.overlay_admitted += 1;
         self.trace.record(
@@ -1058,7 +1038,6 @@ impl ScotchApp {
             out.extend(origin_rules);
         }
         self.flowdb.mark_migrated(&job.key);
-        self.journal_flow(now, job.key);
         if let Some(&j) = self.journey_keys.get(&job.key) {
             self.journeys
                 .record(j, now, JourneyPoint::Migration, info.first_hop.0, 0);

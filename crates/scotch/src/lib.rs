@@ -64,7 +64,6 @@ pub mod pcap;
 pub mod queues;
 pub mod report;
 pub mod scenario;
-mod shard;
 pub mod sim;
 pub mod slo;
 pub mod telemetry;

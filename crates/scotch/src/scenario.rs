@@ -341,8 +341,8 @@ impl Scenario {
     /// Builder: enable causal journey tracing with an explicit
     /// [`JourneyConfig`] (sampling rate, always-trace flow set, mark
     /// capacity). Journey marks are canonical output: selection is a pure
-    /// hash of `(flow_id, seed)`, so the mark stream is bit-identical for
-    /// any shard count.
+    /// hash of `(flow_id, seed)`, so the mark stream is bit-identical per
+    /// `(scenario, seed)`.
     pub fn with_journeys(mut self, config: JourneyConfig) -> Self {
         self.journeys = Some(config);
         self
@@ -359,10 +359,7 @@ impl Scenario {
     }
 
     /// Builder (multi-rack only): set the ToR–spine propagation delay.
-    /// Physically this models racks in different rooms or buildings; for
-    /// sharded runs it widens the conservative lookahead window (which is
-    /// bounded by the minimum cross-rack link latency), letting shards
-    /// advance further between synchronization barriers.
+    /// Physically this models racks in different rooms or buildings.
     pub fn with_interrack_propagation(mut self, p: SimDuration) -> Self {
         self.interrack_propagation = Some(p);
         self
@@ -370,9 +367,8 @@ impl Scenario {
 
     /// Builder (multi-rack only): attach one client host per rack, each
     /// sending single-packet probe flows at `rate` flows/s to its own
-    /// rack's server. This gives every rack locally-sourced traffic, so a
-    /// sharded run has real work on every shard instead of funnelling all
-    /// flows through rack 0.
+    /// rack's server. This gives every rack locally-sourced traffic instead
+    /// of funnelling all flows through rack 0.
     pub fn with_rack_clients(mut self, rate: f64) -> Self {
         self.rack_clients = Some(rate);
         self
@@ -527,30 +523,11 @@ impl Scenario {
         self.build_until(seed, until).run(until)
     }
 
-    /// Build and run partitioned across up to `shards` shards on `threads`
-    /// worker threads (0 = one per shard). Produces the identical canonical
-    /// report for every `(shards, threads)` — see the `shard` module.
-    /// Scenarios the partitioner cannot handle (single-rack topologies,
-    /// per-packet link faults, the multi-host trace workload) fall back to
-    /// the sequential engine, which is always equivalent.
-    pub fn run_sharded(self, until: SimTime, seed: u64, shards: usize, threads: usize) -> Report {
-        // TraceWorkload emits flows whose source addresses span every host
-        // in the network, but a flow source is pinned to one default host;
-        // shard-partitioning by host would misplace its emissions.
-        if self.trace_rate.is_some() {
-            return self.run(until, seed);
-        }
-        self.build_until(seed, until)
-            .run_sharded(until, shards, threads)
-    }
-
     /// Enable the telemetry sampler on a freshly built vSwitch when the
     /// config asks for sampled telemetry. The sampler stream is derived
     /// from `(scenario seed, node id)` with the same golden-ratio mixing
-    /// the chaos engine and shard lanes use: every vSwitch's pick
-    /// sequence is independent of construction order and of which shard
-    /// it lands on, so sampled runs stay bit-identical across shard
-    /// counts.
+    /// the chaos engine uses: every vSwitch's pick sequence is independent
+    /// of construction order.
     fn telemetered(&self, mut v: VSwitch, seed: u64) -> VSwitch {
         if let Some(rate) = self.config.telemetry.sampling_rate() {
             const SAMPLER_STREAM: u64 = 0x7E1E_4E7F_1035;
@@ -864,25 +841,6 @@ impl Scenario {
             sim.add_host(*h, Self::rack_client_ip(r));
         }
 
-        // Shard partition map: rack r's subtree (ToR, host vSwitch, server,
-        // local mesh, local client) is region r. The spine — and with it
-        // the controller — stays on the hub shard. Attacker and client hang
-        // off ToR 0, so they ride in rack 0's region; their uplinks are
-        // then intra-shard and only the ToR–spine links are cut.
-        let mut regions: Vec<Vec<NodeId>> = (0..racks)
-            .map(|r| {
-                let mut v = vec![tors[r], host_vswitches[r], servers[r]];
-                v.extend(&rack_mesh[r]);
-                if let Some(h) = rack_client_hosts.get(r) {
-                    v.push(*h);
-                }
-                v
-            })
-            .collect();
-        regions[0].push(attacker);
-        regions[0].push(client);
-        sim.regions = regions;
-
         if let Some((idx, at)) = self.fail_vswitch {
             if idx < mesh.len() {
                 sim.fail_vswitch_at(mesh[idx], at);
@@ -1017,8 +975,7 @@ impl Scenario {
         if let Some(rate) = self.rack_clients {
             // Per-rack probe clients (multi-rack only): each rack's client
             // targets its own rack's server, so the traffic stays mostly
-            // rack-local and every shard of a partitioned run has its own
-            // flow sources. Distinct RNG forks keep each rack's arrival
+            // rack-local. Distinct RNG forks keep each rack's arrival
             // process independent of rack count.
             for (r, (host, src_ip, dst_ip)) in rack.iter().enumerate() {
                 let src = ClientWorkload::new(

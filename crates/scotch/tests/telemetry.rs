@@ -3,17 +3,16 @@
 //! The two contracts this file pins:
 //!
 //! 1. `sampled { rate: 1.0 }` reproduces exhaustive-mode canonical
-//!    reports **byte-for-byte**, sequentially and at every shard count —
-//!    so all golden fixtures and the determinism matrix carry over to the
-//!    sampled pipeline unchanged.
+//!    reports **byte-for-byte** — so all golden fixtures and the
+//!    determinism matrix carry over to the sampled pipeline unchanged.
 //! 2. sampled runs at any rate are bit-deterministic per
-//!    `(scenario, seed, rate, shard count)`.
+//!    `(scenario, seed, rate)`.
 //!
 //! Plus the accuracy floor: at rate 1/64 the detector still finds the
 //! injected elephants on the DDoS scenario (fixed-seed recall bound).
 
 use scotch::scenario::Scenario;
-use scotch_sim::{SimDuration, SimTime};
+use scotch_sim::SimTime;
 
 fn canonical(report: scotch::Report) -> String {
     report.canonical_json()
@@ -28,15 +27,6 @@ fn overlay_scenario() -> Scenario {
         .with_elephants(3, 1_000.0, 6_000, SimTime::from_secs(2))
 }
 
-/// Multi-rack shape for sharded runs (mirrors shard_determinism.rs).
-fn parallel_scenario(racks: usize) -> Scenario {
-    Scenario::multirack(racks, 1)
-        .with_interrack_propagation(SimDuration::from_micros(200))
-        .with_rack_clients(150.0)
-        .with_attack(400.0)
-        .with_clients(80.0)
-}
-
 #[test]
 fn rate_one_is_byte_identical_to_exhaustive() {
     let until = SimTime::from_secs(8);
@@ -47,24 +37,6 @@ fn rate_one_is_byte_identical_to_exhaustive() {
         sampled, exhaustive,
         "sampled {{ rate: 1.0 }} diverged from exhaustive mode"
     );
-}
-
-#[test]
-fn rate_one_matches_exhaustive_across_shard_counts() {
-    let until = SimTime::from_millis(400);
-    let seed = 20141202;
-    let exhaustive = canonical(parallel_scenario(4).run(until, seed));
-    for shards in [1usize, 2, 4, 8] {
-        let got = canonical(
-            parallel_scenario(4)
-                .with_sampling_rate(1.0)
-                .run_sharded(until, seed, shards, 1),
-        );
-        assert_eq!(
-            got, exhaustive,
-            "rate-1.0 sampled run diverged from sequential exhaustive at --shards {shards}"
-        );
-    }
 }
 
 #[test]
@@ -90,21 +62,6 @@ fn sampled_runs_are_bit_deterministic() {
             .run(until, seed),
     );
     assert!(!c.is_empty());
-}
-
-#[test]
-fn sampled_mode_is_shard_count_invariant() {
-    let until = SimTime::from_millis(400);
-    let seed = 42;
-    let scenario = || parallel_scenario(3).with_sampling_rate(1.0 / 64.0);
-    let base = canonical(scenario().run(until, seed));
-    for shards in [2usize, 4, 8] {
-        let got = canonical(scenario().run_sharded(until, seed, shards, 0));
-        assert_eq!(
-            got, base,
-            "sampled canonical report diverged at --shards {shards}"
-        );
-    }
 }
 
 #[test]

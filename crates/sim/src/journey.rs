@@ -11,20 +11,14 @@
 //! per-stage durations of a delivered journey telescope exactly to its
 //! end-to-end setup latency: no double counting, no gaps, to the tick.
 //!
-//! ## Determinism & sharding
+//! ## Determinism
 //!
-//! A journey id is the flow id — already carried by every packet, so it
-//! crosses shard boundaries with the packet itself and needs no extra
-//! handoff state. Whether a flow is traced is a pure hash of
+//! A journey id is the flow id, already carried by every packet, so it
+//! needs no extra state. Whether a flow is traced is a pure hash of
 //! `(flow id, seed)` against the sampling rate (the same stateless-fork
-//! discipline as the PR 7 packet sampler), which makes the selection — and
-//! therefore every mark — independent of shard count. Each lane records
-//! into its own `JourneyRecorder`; the driver absorbs lane marks into the
-//! hub before the report is built, and [`JourneyRecorder::canonicalize`]
-//! sorts by `(journey, time, point, node, info)` — deliberately *excluding*
-//! the observational `shard` field, which legitimately differs between
-//! shard counts — so the canonical mark stream is byte-identical for
-//! shards 1/2/4/8.
+//! discipline as the packet sampler), so the selection is independent of
+//! event interleaving. [`JourneyRecorder::canonicalize`] sorts by
+//! `(journey, time, point, node, info)`, the order every export consumes.
 
 use crate::metrics::Histogram;
 use crate::time::{SimDuration, SimTime};
@@ -170,9 +164,6 @@ pub struct JourneyMark {
     pub at: SimTime,
     /// Which milestone.
     pub point: JourneyPoint,
-    /// Shard that recorded the mark. Observational only: it depends on the
-    /// shard count, so it is excluded from the canonical order and export.
-    pub shard: u16,
     /// Node the milestone happened at (`u32::MAX` = the controller).
     pub node: u32,
     /// Point-specific payload (see the [`JourneyPoint`] docs).
@@ -180,8 +171,7 @@ pub struct JourneyMark {
 }
 
 impl JourneyMark {
-    /// Canonical sort key: shard is deliberately excluded (it is the one
-    /// field that legitimately differs between shard counts).
+    /// Canonical sort key.
     fn key(&self) -> (u64, SimTime, u8, u32, u64) {
         (
             self.journey,
@@ -216,8 +206,8 @@ impl Default for JourneyConfig {
 
 /// SplitMix64 finalizer: the avalanche mix used to turn a flow id into a
 /// uniform 64-bit draw. Stateless, so the decision for a flow is a pure
-/// function of `(flow id, seed)` — independent of event interleaving and
-/// shard count by construction.
+/// function of `(flow id, seed)`, independent of event interleaving by
+/// construction.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -225,7 +215,7 @@ pub fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Per-lane recorder of journey marks.
+/// Recorder of journey marks.
 ///
 /// Disabled (the default) it costs one predicted branch per site. Enabled,
 /// a mark site costs a hash + compare for the selection check and a `Vec`
@@ -239,7 +229,6 @@ pub struct JourneyRecorder {
     /// Sorted explicit always-trace set.
     always: Vec<u64>,
     capacity: usize,
-    shard: u16,
     marks: Vec<JourneyMark>,
     total: u64,
     dropped: u64,
@@ -261,7 +250,6 @@ impl JourneyRecorder {
             stream: 0,
             always: Vec::new(),
             capacity: 0,
-            shard: 0,
             marks: Vec::new(),
             total: 0,
             dropped: 0,
@@ -292,7 +280,6 @@ impl JourneyRecorder {
             stream: seed ^ JOURNEY_STREAM,
             always,
             capacity: config.capacity,
-            shard: 0,
             marks: Vec::new(),
             total: 0,
             dropped: 0,
@@ -309,11 +296,6 @@ impl JourneyRecorder {
     /// Configured sampling rate (0 when disabled).
     pub fn rate(&self) -> f64 {
         self.rate
-    }
-
-    /// Label marks recorded by this lane with its shard id.
-    pub fn set_shard(&mut self, shard: u16) {
-        self.shard = shard;
     }
 
     /// Should this flow's journey be traced? Pure in `(journey, seed)`.
@@ -340,7 +322,6 @@ impl JourneyRecorder {
             journey,
             at,
             point,
-            shard: self.shard,
             node,
             info,
         });
@@ -356,18 +337,8 @@ impl JourneyRecorder {
         self.dropped
     }
 
-    /// Fold another lane's marks (and counters) into this recorder.
-    pub fn absorb(&mut self, other: &mut JourneyRecorder) {
-        self.marks.append(&mut other.marks);
-        self.total += other.total;
-        self.dropped += other.dropped;
-        other.total = 0;
-        other.dropped = 0;
-    }
-
     /// Sort into the canonical `(journey, at, point, node, info)` order —
-    /// the order every export and reconstruction consumes. Shard is
-    /// excluded (see the module docs).
+    /// the order every export and reconstruction consumes.
     pub fn canonicalize(&mut self) {
         self.marks.sort_by_key(|m| m.key());
     }
@@ -516,9 +487,6 @@ pub struct Span {
     pub from_node: u32,
     /// Node at the close mark.
     pub to_node: u32,
-    /// Shard that recorded the close mark (observational; excluded from
-    /// canonical output).
-    pub shard: u16,
 }
 
 impl Span {
@@ -603,7 +571,6 @@ impl JourneyView {
                     close: m.at,
                     from_node: p.node,
                     to_node: m.node,
-                    shard: m.shard,
                 });
             }
             if m.point == JourneyPoint::Decision {
@@ -690,7 +657,6 @@ mod tests {
             journey: j,
             at,
             point,
-            shard: 0,
             node,
             info,
         }
@@ -765,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn canonical_order_ignores_shard() {
+    fn canonicalize_orders_by_journey_then_time() {
         let mut a = JourneyRecorder::new(
             &JourneyConfig {
                 rate: 1.0,
@@ -773,18 +739,9 @@ mod tests {
             },
             0,
         );
-        a.set_shard(3);
         a.record(5, t(2), JourneyPoint::Arrive, 9, 0);
         a.record(5, t(1), JourneyPoint::Emit, 1, 0);
-        let mut b = JourneyRecorder::new(
-            &JourneyConfig {
-                rate: 1.0,
-                ..Default::default()
-            },
-            0,
-        );
-        b.record(2, t(3), JourneyPoint::Emit, 4, 0);
-        a.absorb(&mut b);
+        a.record(2, t(3), JourneyPoint::Emit, 4, 0);
         a.canonicalize();
         let pts: Vec<(u64, JourneyPoint)> =
             a.marks().iter().map(|m| (m.journey, m.point)).collect();
@@ -796,7 +753,6 @@ mod tests {
                 (5, JourneyPoint::Arrive)
             ]
         );
-        assert_eq!(a.marks()[1].shard, 3, "shard survives as metadata");
     }
 
     #[test]

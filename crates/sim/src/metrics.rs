@@ -176,22 +176,6 @@ impl Histogram {
         self.record(d.as_nanos() as f64);
     }
 
-    /// Fold another histogram's observations into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (row, orow) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            for (n, on) in row.iter_mut().zip(orow.iter()) {
-                *n += *on;
-            }
-        }
-        self.zero_count += other.zero_count;
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count

@@ -69,8 +69,8 @@ pub struct FlowArrival {
 
 /// A pull-based stream of flow arrivals with non-decreasing timestamps.
 ///
-/// `Send` is a supertrait so boxed sources can migrate with their shard
-/// when the simulation runs sharded across worker threads.
+/// `Send` is a supertrait so a built simulation, sources included, can
+/// move to a worker thread.
 pub trait FlowSource: Send {
     /// The next arrival, or `None` when the source is exhausted.
     fn next_arrival(&mut self) -> Option<FlowArrival>;
