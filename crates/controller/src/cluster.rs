@@ -229,15 +229,6 @@ impl ClusterState {
         }
     }
 
-    /// The replica currently mastering `switch`, for attribution
-    /// ([`NO_REPLICA`] while migrating/orphaned).
-    pub fn master_of(&self, switch: NodeId) -> u32 {
-        match self.master_view(switch) {
-            MasterView::Master(m) => m,
-            MasterView::Park => NO_REPLICA,
-        }
-    }
-
     /// Count one processed message against `replica`'s load.
     pub fn record_decision(&mut self, replica: u32) {
         if let Some(d) = self.decisions.get_mut(replica as usize) {

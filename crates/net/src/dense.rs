@@ -102,11 +102,6 @@ impl<T> NodeMap<T> {
         self.slots.iter().filter_map(|s| s.as_ref())
     }
 
-    /// Mutable values in ascending node order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut().filter_map(|s| s.as_mut())
-    }
-
     /// One past the highest id ever inserted — the bound for index walks
     /// that need `get_mut` inside the loop body (no iterator borrow).
     pub fn id_bound(&self) -> u32 {

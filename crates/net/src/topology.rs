@@ -41,11 +41,9 @@ struct Node {
     ports: Vec<Option<LinkId>>,
 }
 
-/// One directed link's endpoints.
+/// One directed link's far end.
 #[derive(Debug, Clone, Copy)]
 struct Ends {
-    from: NodeId,
-    from_port: PortId,
     to: NodeId,
     to_port: PortId,
 }
@@ -136,8 +134,6 @@ impl Topology {
 
         self.links.push((
             Ends {
-                from: a,
-                from_port: a_port,
                 to: b,
                 to_port: b_port,
             },
@@ -145,8 +141,6 @@ impl Topology {
         ));
         self.links.push((
             Ends {
-                from: b,
-                from_port: b_port,
                 to: a,
                 to_port: a_port,
             },
@@ -259,11 +253,6 @@ impl Topology {
         self.links.iter().map(|(_, s)| s.faulted()).sum()
     }
 
-    /// Immutable access to a directed link's state (for metrics).
-    pub fn link_state(&self, link: LinkId) -> &LinkState {
-        &self.links[link.0 as usize].1
-    }
-
     /// Set one directed link's administrative state (fault injection).
     /// Packets offered to a down link are dropped and counted as faults.
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
@@ -274,12 +263,6 @@ impl Topology {
     /// degraded link). [`SimDuration::ZERO`] restores the link.
     pub fn set_link_extra_delay(&mut self, link: LinkId, d: SimDuration) {
         self.links[link.0 as usize].1.set_extra_delay(d);
-    }
-
-    /// A directed link's endpoints as `(from, from_port, to, to_port)`.
-    pub fn link_endpoints(&self, link: LinkId) -> (NodeId, PortId, NodeId, PortId) {
-        let e = self.links[link.0 as usize].0;
-        (e.from, e.from_port, e.to, e.to_port)
     }
 
     /// Total packets dropped across all link queues.

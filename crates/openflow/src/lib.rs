@@ -22,7 +22,6 @@ pub mod group;
 pub mod messages;
 pub mod ofmatch;
 pub mod table;
-pub mod wire;
 
 pub use group::{Bucket, GroupEntry, GroupId, GroupTable, GroupType, SelectionPolicy};
 pub use messages::{ControllerToSwitch, FlowModCommand, PacketInReason, SwitchToController};

@@ -507,11 +507,6 @@ impl Pipeline {
         self.tables.len()
     }
 
-    /// Total entries across all tables.
-    pub fn total_entries(&self) -> usize {
-        self.tables.iter().map(|t| t.len()).sum()
-    }
-
     /// Expire entries in every table; returns removed entries tagged with
     /// their table.
     pub fn expire(&mut self, now: SimTime) -> Vec<(TableId, FlowEntry)> {

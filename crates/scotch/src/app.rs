@@ -409,11 +409,6 @@ impl ScotchApp {
             .sum()
     }
 
-    /// Scheduler statistics at a switch.
-    pub fn scheduler_stats(&self, switch: NodeId) -> Option<crate::queues::SchedulerStats> {
-        self.switches.get(&switch).map(|s| s.scheduler.stats())
-    }
-
     fn next_cookie(&mut self, key: FlowKey) -> u64 {
         self.cookie_keys.push(key);
         self.cookie_keys.len() as u64

@@ -350,9 +350,17 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             o.link_loss
         ));
     }
-    if let Some(rate) = o.attack {
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(format!("--attack must be a positive rate, got {rate}"));
+    // Rates the workload builders assert on, and a duration that would
+    // otherwise run an empty simulation and exit 0.
+    let positive = [
+        ("--attack", o.attack),
+        ("--trace", o.trace),
+        ("--rack-clients", o.rack_clients),
+        ("--duration", Some(o.duration)),
+    ];
+    for (flag, value) in positive {
+        if let Some(v) = value.filter(|v| !(v.is_finite() && *v > 0.0)) {
+            return Err(format!("{flag} must be finite and positive, got {v}"));
         }
     }
     if o.failover.is_some() && o.controllers < 2 {
@@ -2411,6 +2419,11 @@ mod tests {
         assert!(parse("--link-loss -0.1").is_err());
         assert!(parse("--attack -5").is_err());
         assert!(parse("--attack 0").is_err());
+        assert!(parse("--trace -1").is_err());
+        assert!(parse("--scenario multirack --rack-clients -1").is_err());
+        for d in ["nan", "inf", "-1", "0"] {
+            assert!(parse(&format!("--duration {d}")).is_err(), "--duration {d}");
+        }
     }
 
     #[test]

@@ -204,16 +204,6 @@ impl Report {
         failed as f64 / window.len() as f64
     }
 
-    /// Fraction of attack flows that reached the victim.
-    pub fn attack_success_fraction(&self) -> f64 {
-        let total = self.attack_flows();
-        if total == 0 {
-            return 0.0;
-        }
-        let ok = self.flows_where(true).filter(|f| f.succeeded()).count();
-        ok as f64 / total as f64
-    }
-
     /// Mean flow completion time of completed legitimate flows, seconds.
     pub fn mean_client_fct(&self) -> Option<f64> {
         let fcts: Vec<f64> = self
@@ -226,31 +216,6 @@ impl Report {
         } else {
             Some(fcts.iter().sum::<f64>() / fcts.len() as f64)
         }
-    }
-
-    /// Mean setup latency of successful legitimate flows, seconds.
-    pub fn mean_client_setup_latency(&self) -> Option<f64> {
-        let ls: Vec<f64> = self
-            .flows_where(false)
-            .filter_map(|f| f.setup_latency())
-            .map(|d| d.as_secs_f64())
-            .collect();
-        if ls.is_empty() {
-            None
-        } else {
-            Some(ls.iter().sum::<f64>() / ls.len() as f64)
-        }
-    }
-
-    /// Aggregate Packet-In messages emitted by all mesh/host vSwitch
-    /// agents (the E13 capacity metric).
-    pub fn vswitch_packet_ins(&self) -> u64 {
-        self.vswitches.iter().map(|v| v.ofa.packet_in_sent).sum()
-    }
-
-    /// Aggregate Packet-In messages emitted by physical-switch OFAs.
-    pub fn physical_packet_ins(&self) -> u64 {
-        self.switches.iter().map(|s| s.ofa.packet_in_sent).sum()
     }
 
     /// Render the full report as canonical JSON: a fixed field order, map

@@ -502,11 +502,6 @@ impl Simulation {
         self.captures.entry_or_default(node);
     }
 
-    /// Delivery `(time, end-to-end latency)` samples of a tracked flow.
-    pub fn tracked_deliveries(&self, id: scotch_net::FlowId) -> &[(SimTime, SimDuration)] {
-        self.tracked.get(&id).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
     /// Schedule a vSwitch failure (§5.6 fault injection).
     pub fn fail_vswitch_at(&mut self, node: NodeId, at: SimTime) {
         self.events.push(at, Event::FailVSwitch { node });

@@ -466,6 +466,7 @@ fn pcap_capture_records_delivered_traffic() {
     use scotch::pcap::PCAP_MAGIC;
     let mut sim = Scenario::overlay_datacenter(2)
         .with_clients(100.0)
+        .with_attack(2_000.0)
         .build(55);
     let server = sim
         .topo
@@ -473,7 +474,14 @@ fn pcap_capture_records_delivered_traffic() {
         .into_iter()
         .find(|n| sim.topo.name(*n) == "server0")
         .unwrap();
+    let mesh = sim
+        .topo
+        .nodes_of_kind(scotch_net::NodeKind::VSwitch)
+        .into_iter()
+        .find(|n| sim.topo.name(*n) == "mesh0")
+        .unwrap();
     sim.capture_at(server);
+    sim.capture_at(mesh);
     let report = sim.run(SimTime::from_secs(3));
     let cap = &report.captures[&server];
     // Every delivered packet to server0 was captured.
@@ -489,6 +497,33 @@ fn pcap_capture_records_delivered_traffic() {
         u32::from_le_bytes(cap.bytes()[0..4].try_into().unwrap()),
         PCAP_MAGIC
     );
+    // Pin the encoded bytes. server0 sees plain IPv4 frames and the mesh
+    // vSwitch sees MPLS-labelled ones, so both encoder branches are covered.
+    let fnv1a = |bytes: &[u8]| {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        format!("{h:016x}")
+    };
+    let ethertypes = |bytes: &[u8]| {
+        let mut types = Vec::new();
+        let mut rec = &bytes[24..];
+        while !rec.is_empty() {
+            let incl = u32::from_le_bytes(rec[8..12].try_into().unwrap()) as usize;
+            types.push(u16::from_be_bytes([rec[16 + 12], rec[16 + 13]]));
+            rec = &rec[16 + incl..];
+        }
+        types
+    };
+    assert!(ethertypes(cap.bytes()).iter().all(|&t| t == 0x0800));
+    let mesh_cap = &report.captures[&mesh];
+    assert!(ethertypes(mesh_cap.bytes()).iter().all(|&t| t == 0x8847));
+    assert_eq!(cap.records(), 4756);
+    assert_eq!(fnv1a(cap.bytes()), "f2ecb55a3b85dce0");
+    assert_eq!(mesh_cap.records(), 4223);
+    assert_eq!(fnv1a(mesh_cap.bytes()), "59f95aa9331955d7");
 }
 
 #[test]

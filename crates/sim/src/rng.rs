@@ -142,11 +142,6 @@ impl SimRng {
         (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
     }
 
-    /// Pick a uniformly random element of a slice. Panics on empty input.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {

@@ -195,11 +195,6 @@ impl Ofa {
     pub fn stats(&self) -> OfaStats {
         self.stats
     }
-
-    /// Current Packet-In backlog (diagnostic).
-    pub fn packet_in_backlog(&mut self, now: SimTime) -> usize {
-        self.packet_in.backlog(now)
-    }
 }
 
 #[cfg(test)]

@@ -94,11 +94,6 @@ impl PhysicalSwitch {
         &self.pipeline
     }
 
-    /// Mutable pipeline access (test setup without the OFA path).
-    pub fn pipeline_mut(&mut self) -> &mut Pipeline {
-        &mut self.pipeline
-    }
-
     /// The group table.
     pub fn groups(&self) -> &GroupTable {
         &self.groups
