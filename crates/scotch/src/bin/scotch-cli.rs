@@ -116,7 +116,8 @@
 //!   --plan <FILE>       run a pinned fault-plan file instead of generating
 //!   --events <N>        faults per generated plan        (default: 12)
 //!   --search <N>        try N consecutive seeds, stop at the first plan
-//!                       that violates an invariant, then shrink it
+//!                       that violates an invariant, then shrink it (not
+//!                       with --plan)
 //!   --shrink-runs <N>   shrink budget in re-runs          (default: 200)
 //!   --failover-bound <SECS>  override the I2 failover bound (0 breaks I2
 //!                       deliberately; default derives from the heartbeat)
@@ -217,156 +218,166 @@ impl Default for Options {
     }
 }
 
+/// Cursor over one subcommand's arguments. The value readers consume the
+/// arguments after the flag being parsed and name that flag in their errors.
+struct Args<'a> {
+    args: &'a [String],
+    pos: usize,
+    flag: &'a str,
+}
+
+impl Args<'_> {
+    fn text(&mut self) -> Result<String, String> {
+        let value = self.args.get(self.pos).cloned();
+        self.pos += 1;
+        value.ok_or_else(|| format!("missing value after {}", self.flag))
+    }
+
+    fn value<T: std::str::FromStr>(&mut self) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.text()?
+            .parse()
+            .map_err(|e| format!("{}: {e}", self.flag))
+    }
+
+    fn float(&mut self, ok: fn(f64) -> bool, range: &str) -> Result<f64, String> {
+        let v: f64 = self.value()?;
+        if ok(v) {
+            Ok(v)
+        } else {
+            Err(format!("{} must be {range}, got {v}", self.flag))
+        }
+    }
+
+    /// A finite value > 0.
+    fn positive(&mut self) -> Result<f64, String> {
+        self.float(|v| v.is_finite() && v > 0.0, "finite and positive")
+    }
+
+    /// A finite value >= 0.
+    fn non_negative(&mut self) -> Result<f64, String> {
+        self.float(|v| v.is_finite() && v >= 0.0, "finite and non-negative")
+    }
+
+    /// A probability in (0, 1].
+    fn rate(&mut self) -> Result<f64, String> {
+        self.float(|v| v > 0.0 && v <= 1.0, "in (0, 1]")
+    }
+}
+
+/// The one flag loop: hands each flag to `on_flag`, which reads the flag's
+/// values from the cursor and returns `false` for a flag it does not know.
+/// `--help`/`-h` come back as the error `"help"` (see [`usage_exit`]).
+fn parse_flags(
+    args: &[String],
+    mut on_flag: impl FnMut(&str, &mut Args) -> Result<bool, String>,
+) -> Result<(), String> {
+    let mut cursor = Args {
+        args,
+        pos: 0,
+        flag: "",
+    };
+    while let Some(flag) = args.get(cursor.pos) {
+        cursor.pos += 1;
+        cursor.flag = flag;
+        if flag == "--help" || flag == "-h" {
+            return Err("help".into());
+        }
+        if !on_flag(flag, &mut cursor)? {
+            return Err(format!("unknown option {flag}"));
+        }
+    }
+    Ok(())
+}
+
+/// The scenario, workload and control flags shared by run, trace, explain
+/// and chaos. Returns `false` for any other flag.
+fn scenario_flag(o: &mut Options, flag: &str, a: &mut Args) -> Result<bool, String> {
+    match flag {
+        "--scenario" => o.scenario = a.text()?,
+        "--mesh" => o.mesh = a.value()?,
+        "--racks" => o.racks = a.value()?,
+        "--servers" => o.servers = a.value()?,
+        "--middlebox" => o.middlebox = true,
+        "--attack" => o.attack = Some(a.positive()?),
+        "--attack-window" => o.attack_window = Some((a.value()?, a.value()?)),
+        "--clients" => o.clients = a.non_negative()?,
+        "--trace" => o.trace = Some(a.positive()?),
+        "--elephants" => o.elephants = Some((a.value()?, a.positive()?, a.value()?)),
+        "--link-loss" => o.link_loss = a.value()?,
+        "--baseline" => o.baseline = true,
+        "--sampling-rate" => o.sampling_rate = Some(a.rate()?),
+        "--seed" => o.seed = a.value()?,
+        "--duration" => o.duration = a.positive()?,
+        "--json" => o.json = true,
+        "--interrack-us" => o.interrack_us = Some(a.value()?),
+        "--rack-clients" => o.rack_clients = Some(a.positive()?),
+        "--controllers" => o.controllers = a.value()?,
+        "--sync-latency-us" => o.sync_latency_us = Some(a.value()?),
+        "--failover" => o.failover = Some(a.positive()?),
+        "--pcap" => o.pcap = Some((a.text()?, a.text()?)),
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+impl Options {
+    /// Cross-flag checks, and the ranges `Scenario` asserts on: reject them
+    /// here so bad input exits 2 with a message instead of panicking
+    /// mid-build.
+    fn validate(&self) -> Result<(), String> {
+        check_scenario(&self.scenario)?;
+        if self.scenario == "multirack" && self.racks < 2 {
+            return Err(format!("--racks must be at least 2, got {}", self.racks));
+        }
+        if self.scenario == "datacenter" && self.servers == 0 {
+            return Err("--servers must be at least 1".into());
+        }
+        if !(0.0..=1.0).contains(&self.link_loss) {
+            return Err(format!(
+                "--link-loss must be in [0, 1], got {}",
+                self.link_loss
+            ));
+        }
+        if let Some((start, end)) = self.attack_window {
+            if !(0.0 <= start && start < end && end.is_finite()) {
+                return Err(format!(
+                    "--attack-window needs finite 0 <= START < END, got {start} {end}"
+                ));
+            }
+        }
+        if self.controllers == 0 {
+            return Err("--controllers must be at least 1".into());
+        }
+        if self.sync_latency_us == Some(0) {
+            return Err("--sync-latency-us must be positive".into());
+        }
+        if self.failover.is_some() && self.controllers < 2 {
+            return Err("--failover requires --controllers >= 2".into());
+        }
+        Ok(())
+    }
+}
+
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut o = Options::default();
-    let mut i = 0;
-    let next = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value after {}", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scenario" => o.scenario = next(&mut i)?,
-            "--mesh" => o.mesh = next(&mut i)?.parse().map_err(|e| format!("--mesh: {e}"))?,
-            "--racks" => o.racks = next(&mut i)?.parse().map_err(|e| format!("--racks: {e}"))?,
-            "--servers" => {
-                o.servers = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--servers: {e}"))?
-            }
-            "--middlebox" => o.middlebox = true,
-            "--attack" => {
-                o.attack = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--attack: {e}"))?,
-                )
-            }
-            "--attack-window" => {
-                let start: f64 = next(&mut i)?.parse().map_err(|e| format!("window: {e}"))?;
-                let end: f64 = next(&mut i)?.parse().map_err(|e| format!("window: {e}"))?;
-                o.attack_window = Some((start, end));
-            }
-            "--clients" => {
-                o.clients = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--trace" => {
-                o.trace = Some(next(&mut i)?.parse().map_err(|e| format!("--trace: {e}"))?)
-            }
-            "--elephants" => {
-                let n: usize = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("elephants: {e}"))?;
-                let pps: f64 = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("elephants: {e}"))?;
-                let pkts: u32 = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("elephants: {e}"))?;
-                o.elephants = Some((n, pps, pkts));
-            }
-            "--link-loss" => {
-                o.link_loss = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--link-loss: {e}"))?
-            }
-            "--baseline" => o.baseline = true,
-            "--sampling-rate" => {
-                o.sampling_rate = Some(parse_sampling_rate(&next(&mut i)?)?);
-            }
-            "--seed" => o.seed = next(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--duration" => {
-                o.duration = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--duration: {e}"))?
-            }
-            "--json" => o.json = true,
-            "--interrack-us" => {
-                o.interrack_us = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--interrack-us: {e}"))?,
-                )
-            }
-            "--rack-clients" => {
-                o.rack_clients = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--rack-clients: {e}"))?,
-                )
-            }
-            "--controllers" => {
-                o.controllers = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--controllers: {e}"))?;
-                if o.controllers == 0 {
-                    return Err("--controllers must be at least 1".into());
-                }
-            }
-            "--sync-latency-us" => {
-                let us: u64 = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--sync-latency-us: {e}"))?;
-                if us == 0 {
-                    return Err("--sync-latency-us must be positive".into());
-                }
-                o.sync_latency_us = Some(us);
-            }
-            "--failover" => {
-                let at: f64 = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--failover: {e}"))?;
-                if !(at.is_finite() && at > 0.0) {
-                    return Err("--failover time must be positive".into());
-                }
-                o.failover = Some(at);
-            }
-            "--pcap" => {
-                let node = next(&mut i)?;
-                let file = next(&mut i)?;
-                o.pcap = Some((node, file));
-            }
-            "--help" | "-h" => return Err("help".into()),
-            other => return Err(format!("unknown option {other}")),
-        }
-        i += 1;
-    }
-    check_scenario(&o.scenario)?;
-    // Ranges `Scenario` asserts on: reject them here so bad
-    // input exits 2 with a message instead of panicking mid-build.
-    if o.scenario == "multirack" && o.racks < 2 {
-        return Err(format!("--racks must be at least 2, got {}", o.racks));
-    }
-    if o.scenario == "datacenter" && o.servers == 0 {
-        return Err("--servers must be at least 1".into());
-    }
-    if !(0.0..=1.0).contains(&o.link_loss) {
-        return Err(format!(
-            "--link-loss must be in [0, 1], got {}",
-            o.link_loss
-        ));
-    }
-    // Rates the workload builders assert on, and a duration that would
-    // otherwise run an empty simulation and exit 0.
-    let positive = [
-        ("--attack", o.attack),
-        ("--trace", o.trace),
-        ("--rack-clients", o.rack_clients),
-        ("--duration", Some(o.duration)),
-    ];
-    for (flag, value) in positive {
-        if let Some(v) = value.filter(|v| !(v.is_finite() && *v > 0.0)) {
-            return Err(format!("{flag} must be finite and positive, got {v}"));
-        }
-    }
-    if o.failover.is_some() && o.controllers < 2 {
-        return Err("--failover requires --controllers >= 2".into());
-    }
+    parse_flags(args, |flag, a| scenario_flag(&mut o, flag, a))?;
+    o.validate()?;
     Ok(o)
+}
+
+/// Print a parse failure and the usage text and return the exit code: 0
+/// for `--help`, 2 for anything else.
+fn usage_exit(err: &str, usage: &str) -> i32 {
+    if err == "help" {
+        eprintln!("{usage}");
+        return 0;
+    }
+    eprintln!("error: {err}\n");
+    eprintln!("{usage}");
+    2
 }
 
 /// Scenario names accepted by `--scenario` (run and sweep front ends).
@@ -383,14 +394,11 @@ fn check_scenario(name: &str) -> Result<(), String> {
     }
 }
 
-/// Parse and range-check a `--sampling-rate` value (shared by the run,
-/// sweep, and bench front ends).
-fn parse_sampling_rate(text: &str) -> Result<f64, String> {
-    let rate: f64 = text.parse().map_err(|e| format!("--sampling-rate: {e}"))?;
-    if !(rate > 0.0 && rate <= 1.0) {
-        return Err(format!("--sampling-rate must be in (0, 1], got {rate}"));
-    }
-    Ok(rate)
+/// Read and parse a `--plan` fault-plan file.
+fn load_plan(path: &str) -> Result<scotch_sim::fault::FaultPlan, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read plan {path}: {e}"))?;
+    scotch_sim::fault::FaultPlan::parse(&text).map_err(|e| format!("bad plan {path}: {e}"))
 }
 
 fn build_scenario(o: &Options) -> Scenario {
@@ -449,10 +457,10 @@ fn build_scenario(o: &Options) -> Scenario {
     s
 }
 
-/// Parsed trace-specific flags (everything else is forwarded to
-/// [`parse_args`]).
+/// Parsed `trace` subcommand line.
 #[derive(Debug, Clone, PartialEq)]
 struct TraceOptions {
+    run: Options,
     out: Option<String>,
     filter: Option<String>,
     verbose: bool,
@@ -464,6 +472,7 @@ struct TraceOptions {
 impl Default for TraceOptions {
     fn default() -> Self {
         TraceOptions {
+            run: Options::default(),
             out: None,
             filter: None,
             verbose: false,
@@ -474,37 +483,25 @@ impl Default for TraceOptions {
     }
 }
 
-/// Split a `trace` command line into trace flags and scenario flags.
-fn parse_trace_args(args: &[String]) -> Result<(TraceOptions, Vec<String>), String> {
+fn parse_trace_args(args: &[String]) -> Result<TraceOptions, String> {
     let mut t = TraceOptions::default();
-    let mut rest = Vec::new();
-    let mut i = 0;
-    let next = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value after {}", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => t.out = Some(next(&mut i)?),
-            "--filter" => t.filter = Some(next(&mut i)?),
+    parse_flags(args, |flag, a| {
+        match flag {
+            "--out" => t.out = Some(a.text()?),
+            "--filter" => t.filter = Some(a.text()?),
             "--verbose" => t.verbose = true,
-            "--capacity" => {
-                t.capacity = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?;
-                if t.capacity == 0 {
-                    return Err("--capacity must be at least 1".into());
-                }
-            }
-            "--limit" => t.limit = next(&mut i)?.parse().map_err(|e| format!("--limit: {e}"))?,
+            "--capacity" => t.capacity = a.value()?,
+            "--limit" => t.limit = a.value()?,
             "--summary" => t.summary = true,
-            other => rest.push(other.to_string()),
+            _ => return scenario_flag(&mut t.run, flag, a),
         }
-        i += 1;
+        Ok(true)
+    })?;
+    if t.capacity == 0 {
+        return Err("--capacity must be at least 1".into());
     }
-    Ok((t, rest))
+    t.run.validate()?;
+    Ok(t)
 }
 
 /// Resolve a [`TraceConfig`] from the parsed trace flags: `--verbose`
@@ -533,29 +530,16 @@ fn trace_config(t: &TraceOptions) -> Result<TraceConfig, String> {
     Ok(config)
 }
 
+const TRACE_USAGE: &str = "\
+usage: scotch-cli trace [SCENARIO OPTIONS] [--out FILE] [--filter CATS]
+                        [--verbose] [--capacity N] [--limit N] [--summary]";
+
 fn trace_main(args: &[String]) -> i32 {
-    let usage = || {
-        eprintln!("usage: scotch-cli trace [SCENARIO OPTIONS] [--out FILE] [--filter CATS]");
-        eprintln!("                        [--verbose] [--capacity N] [--limit N] [--summary]");
+    let topts = match parse_trace_args(args) {
+        Ok(t) => t,
+        Err(e) => return usage_exit(&e, TRACE_USAGE),
     };
-    let (topts, rest) = match parse_trace_args(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            usage();
-            return 2;
-        }
-    };
-    let opts = match parse_args(&rest) {
-        Ok(o) => o,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            usage();
-            return if e == "help" { 0 } else { 2 };
-        }
-    };
+    let opts = &topts.run;
     let config = match trace_config(&topts) {
         Ok(c) => c,
         Err(e) => {
@@ -565,7 +549,7 @@ fn trace_main(args: &[String]) -> i32 {
     };
 
     let horizon = SimTime::from_secs_f64(opts.duration);
-    let report = build_scenario(&opts)
+    let report = build_scenario(opts)
         .with_tracing(config)
         .run(horizon, opts.seed);
 
@@ -617,10 +601,10 @@ fn trace_main(args: &[String]) -> i32 {
     0
 }
 
-/// Parsed `explain` subcommand flags (everything else is forwarded to
-/// [`parse_args`]).
+/// Parsed `explain` subcommand line.
 #[derive(Debug, Clone, PartialEq)]
 struct ExplainOptions {
+    run: Options,
     rate: f64,
     journeys: Vec<u64>,
     slowest: usize,
@@ -633,6 +617,7 @@ struct ExplainOptions {
 impl Default for ExplainOptions {
     fn default() -> Self {
         ExplainOptions {
+            run: Options::default(),
             rate: DEFAULT_JOURNEY_RATE,
             journeys: Vec::new(),
             slowest: 5,
@@ -653,44 +638,26 @@ fn parse_journey_id(text: &str) -> Result<u64, String> {
     parsed.map_err(|e| format!("--journey: bad id '{text}': {e}"))
 }
 
-/// Split an `explain` command line into explain flags and scenario flags.
-fn parse_explain_args(args: &[String]) -> Result<(ExplainOptions, Vec<String>), String> {
+fn parse_explain_args(args: &[String]) -> Result<ExplainOptions, String> {
     let mut e = ExplainOptions::default();
-    let mut rest = Vec::new();
-    let mut i = 0;
-    let next = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value after {}", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--rate" => {
-                let rate: f64 = next(&mut i)?.parse().map_err(|e| format!("--rate: {e}"))?;
-                if !(rate > 0.0 && rate <= 1.0) {
-                    return Err(format!("--rate must be in (0, 1], got {rate}"));
-                }
-                e.rate = rate;
-            }
-            "--journey" => e.journeys.push(parse_journey_id(&next(&mut i)?)?),
-            "--slowest" => {
-                e.slowest = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--slowest: {e}"))?
-            }
+    parse_flags(args, |flag, a| {
+        match flag {
+            "--rate" => e.rate = a.rate()?,
+            "--journey" => e.journeys.push(parse_journey_id(&a.text()?)?),
+            "--slowest" => e.slowest = a.value()?,
             "--stage-summary" => e.stage_summary = true,
-            "--export" => e.export = Some(next(&mut i)?),
+            "--export" => e.export = Some(a.text()?),
             "--slo" => e.slo = true,
             "--slo-table" => {
                 e.slo = true;
-                e.slo_table = Some(next(&mut i)?);
+                e.slo_table = Some(a.text()?);
             }
-            other => rest.push(other.to_string()),
+            _ => return scenario_flag(&mut e.run, flag, a),
         }
-        i += 1;
-    }
-    Ok((e, rest))
+        Ok(true)
+    })?;
+    e.run.validate()?;
+    Ok(e)
 }
 
 /// Human duration from integer nanoseconds — a pure function of sim time,
@@ -820,30 +787,17 @@ fn print_timeline(view: &JourneyView, names: &[String]) {
     );
 }
 
+const EXPLAIN_USAGE: &str = "\
+usage: scotch-cli explain [SCENARIO OPTIONS] [--rate P] [--journey ID]
+                          [--slowest N] [--stage-summary] [--export FILE]
+                          [--slo] [--slo-table FILE]";
+
 fn explain_main(args: &[String]) -> i32 {
-    let usage = || {
-        eprintln!("usage: scotch-cli explain [SCENARIO OPTIONS] [--rate P] [--journey ID]");
-        eprintln!("                          [--slowest N] [--stage-summary] [--export FILE]");
-        eprintln!("                          [--slo] [--slo-table FILE]");
+    let eopts = match parse_explain_args(args) {
+        Ok(e) => e,
+        Err(e) => return usage_exit(&e, EXPLAIN_USAGE),
     };
-    let (eopts, rest) = match parse_explain_args(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            usage();
-            return 2;
-        }
-    };
-    let opts = match parse_args(&rest) {
-        Ok(o) => o,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            usage();
-            return if e == "help" { 0 } else { 2 };
-        }
-    };
+    let opts = &eopts.run;
     let table = match &eopts.slo_table {
         Some(path) => match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
             Ok(text) => match SloTable::parse(&text) {
@@ -868,7 +822,7 @@ fn explain_main(args: &[String]) -> i32 {
         always: eopts.journeys.clone(),
         ..JourneyConfig::default()
     };
-    let sim = build_scenario(&opts)
+    let sim = build_scenario(opts)
         .with_journeys(config)
         .build_until(opts.seed, horizon);
     let names: Vec<String> = (0..sim.topo.node_count() as u32)
@@ -992,59 +946,29 @@ impl Default for SweepOptions {
 
 fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, String> {
     let mut o = SweepOptions::default();
-    let mut i = 0;
-    let next = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value after {}", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
+    parse_flags(args, |flag, a| {
+        match flag {
             "--smoke" => {
                 o.smoke = true;
                 o.seeds = 2;
                 o.duration = 2.0;
                 o.attack = 1000.0;
             }
-            "--scenario" => o.scenario = Some(next(&mut i)?),
-            "--seeds" => o.seeds = next(&mut i)?.parse().map_err(|e| format!("--seeds: {e}"))?,
-            "--seed-base" => {
-                o.seed_base = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--seed-base: {e}"))?
-            }
-            "--duration" => {
-                o.duration = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--duration: {e}"))?
-            }
-            "--attack" => {
-                o.attack = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--attack: {e}"))?
-            }
-            "--clients" => {
-                o.clients = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--threads" => {
-                o.threads = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--out" => o.out = next(&mut i)?,
-            "--sampling-rate" => {
-                o.sampling_rate = Some(parse_sampling_rate(&next(&mut i)?)?);
-            }
+            "--scenario" => o.scenario = Some(a.text()?),
+            "--seeds" => o.seeds = a.value()?,
+            "--seed-base" => o.seed_base = a.value()?,
+            "--duration" => o.duration = a.positive()?,
+            "--attack" => o.attack = a.positive()?,
+            "--clients" => o.clients = a.non_negative()?,
+            "--threads" => o.threads = a.value()?,
+            "--out" => o.out = a.text()?,
+            "--sampling-rate" => o.sampling_rate = Some(a.rate()?),
             "--sampling-ablation" => o.sampling_ablation = true,
             "--quiet" => o.quiet = true,
-            "--help" | "-h" => return Err("help".into()),
-            other => return Err(format!("unknown sweep option {other}")),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
+        Ok(true)
+    })?;
     if o.seeds == 0 {
         return Err("--seeds must be at least 1".into());
     }
@@ -1158,9 +1082,11 @@ fn ablation_jobs(o: &SweepOptions) -> Vec<scotch_runner::Job<()>> {
                 seed,
                 move |ctx: &mut scotch_runner::JobCtx| {
                     let mut s = Scenario::overlay_datacenter(4)
-                        .with_clients(clients)
                         .with_attack(attack)
                         .with_elephants(4, 1_000.0, 50_000, SimTime::from_secs(1));
+                    if clients > 0.0 {
+                        s = s.with_clients(clients);
+                    }
                     if let Some(rate) = rate {
                         s = s.with_sampling_rate(rate);
                     }
@@ -1195,17 +1121,14 @@ fn ablation_jobs(o: &SweepOptions) -> Vec<scotch_runner::Job<()>> {
     jobs
 }
 
+const SWEEP_USAGE: &str = "\
+usage: scotch-cli sweep [--smoke] [--scenario NAME] [--seeds N] ...
+       (full flag list in the doc comment at the top of scotch-cli.rs)";
+
 fn sweep_main(args: &[String]) -> i32 {
     let opts = match parse_sweep_args(args) {
         Ok(o) => o,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("usage: scotch-cli sweep [--smoke] [--scenario NAME] [--seeds N] ...");
-            eprintln!("       (full flag list in the doc comment at the top of scotch-cli.rs)");
-            return if e == "help" { 0 } else { 2 };
-        }
+        Err(e) => return usage_exit(&e, SWEEP_USAGE),
     };
     let name = if opts.sampling_ablation {
         "sweep-sampling-ablation"
@@ -1297,29 +1220,21 @@ impl Default for BenchOptions {
 
 fn parse_bench_args(args: &[String]) -> Result<BenchOptions, String> {
     let mut o = BenchOptions::default();
-    let mut i = 0;
-    let next = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value after {}", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => o.out = next(&mut i)?,
-            "--baseline" => o.baseline = Some(next(&mut i)?),
-            "--label" => o.label = next(&mut i)?,
-            "--iters" => o.iters = next(&mut i)?.parse().map_err(|e| format!("--iters: {e}"))?,
+    parse_flags(args, |flag, a| {
+        match flag {
+            "--out" => o.out = a.text()?,
+            "--baseline" => o.baseline = Some(a.text()?),
+            "--label" => o.label = a.text()?,
+            "--iters" => o.iters = a.value()?,
             "--profile" => o.profile = true,
             "--trace-overhead" => o.trace_overhead = true,
-            "--sampling-rate" => o.sampling_rate = parse_sampling_rate(&next(&mut i)?)?,
+            "--sampling-rate" => o.sampling_rate = a.rate()?,
             "--gate" => o.gate = true,
             "--quiet" => o.quiet = true,
-            "--help" | "-h" => return Err("help".into()),
-            other => return Err(format!("unknown bench option {other}")),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
+        Ok(true)
+    })?;
     if o.iters == 0 {
         return Err("--iters must be at least 1".into());
     }
@@ -1500,22 +1415,18 @@ fn parse_baseline(text: &str) -> Vec<(String, f64)> {
     out
 }
 
+const BENCH_USAGE: &str = "\
+usage: scotch-cli bench hotpath [--out FILE] [--baseline FILE]
+                                [--label NAME] [--iters N] [--quiet]";
+
 fn bench_main(args: &[String]) -> i32 {
-    if args.first().map(String::as_str) != Some("hotpath") {
-        eprintln!("usage: scotch-cli bench hotpath [--out FILE] [--baseline FILE]");
-        eprintln!("                                [--label NAME] [--iters N] [--quiet]");
-        return 2;
-    }
-    let opts = match parse_bench_args(&args[1..]) {
+    let parsed = match args.split_first() {
+        Some((bench, rest)) if bench == "hotpath" => parse_bench_args(rest),
+        _ => Err("the only benchmark is `hotpath`".into()),
+    };
+    let opts = match parsed {
         Ok(o) => o,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("usage: scotch-cli bench hotpath [--out FILE] [--baseline FILE]");
-            eprintln!("                                [--label NAME] [--iters N] [--quiet]");
-            return if e == "help" { 0 } else { 2 };
-        }
+        Err(e) => return usage_exit(&e, BENCH_USAGE),
     };
 
     let results = run_hotpath(opts.iters, opts.quiet, opts.sampling_rate);
@@ -1692,10 +1603,10 @@ fn overhead_walls(
     (best, [median(trace_ratios), median(journey_ratios)])
 }
 
-/// Parsed chaos-specific flags (everything else is forwarded to
-/// [`parse_args`]).
+/// Parsed `chaos` subcommand line.
 #[derive(Debug, Clone, PartialEq)]
 struct ChaosOptions {
+    run: Options,
     plan: Option<String>,
     events: usize,
     search: Option<u64>,
@@ -1711,6 +1622,7 @@ struct ChaosOptions {
 impl Default for ChaosOptions {
     fn default() -> Self {
         ChaosOptions {
+            run: Options::default(),
             plan: None,
             events: 12,
             search: None,
@@ -1725,73 +1637,35 @@ impl Default for ChaosOptions {
     }
 }
 
-fn parse_chaos_args(args: &[String]) -> Result<(ChaosOptions, Vec<String>), String> {
+fn parse_chaos_args(args: &[String]) -> Result<ChaosOptions, String> {
     let mut c = ChaosOptions::default();
-    let mut rest = Vec::new();
-    let mut i = 0;
-    let next = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value after {}", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--plan" => c.plan = Some(next(&mut i)?),
-            "--events" => {
-                c.events = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--events: {e}"))?
-            }
-            "--search" => {
-                c.search = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--search: {e}"))?,
-                )
-            }
-            "--shrink-runs" => {
-                c.shrink_runs = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--shrink-runs: {e}"))?
-            }
-            "--failover-bound" => {
-                c.failover_bound = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--failover-bound: {e}"))?,
-                )
-            }
-            "--setup-bound" => {
-                c.setup_bound = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--setup-bound: {e}"))?,
-                )
-            }
-            "--max-undeliverable" => {
-                c.max_undeliverable = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--max-undeliverable: {e}"))?
-            }
-            "--report" => c.report = Some(next(&mut i)?),
-            "--plan-out" => c.plan_out = Some(next(&mut i)?),
-            "--promote" => {
-                let name = next(&mut i)?;
-                if name.is_empty()
-                    || !name
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-                {
-                    return Err(format!("--promote: bad fixture name `{name}`"));
-                }
-                c.promote = Some(name);
-            }
-            other => rest.push(other.to_string()),
+    parse_flags(args, |flag, a| {
+        match flag {
+            "--plan" => c.plan = Some(a.text()?),
+            "--events" => c.events = a.value()?,
+            "--search" => c.search = Some(a.value()?),
+            "--shrink-runs" => c.shrink_runs = a.value()?,
+            "--failover-bound" => c.failover_bound = Some(a.non_negative()?),
+            "--setup-bound" => c.setup_bound = Some(a.positive()?),
+            "--max-undeliverable" => c.max_undeliverable = a.value()?,
+            "--report" => c.report = Some(a.text()?),
+            "--plan-out" => c.plan_out = Some(a.text()?),
+            "--promote" => c.promote = Some(a.text()?),
+            _ => return scenario_flag(&mut c.run, flag, a),
         }
-        i += 1;
+        Ok(true)
+    })?;
+    if let Some(name) = &c.promote {
+        let safe = |ch: char| ch.is_ascii_alphanumeric() || ch == '_' || ch == '-';
+        if name.is_empty() || !name.chars().all(safe) {
+            return Err(format!("--promote: bad fixture name `{name}`"));
+        }
     }
-    Ok((c, rest))
+    if c.search.is_some() && c.plan.is_some() {
+        return Err("--search generates its own plans; it cannot take --plan".into());
+    }
+    c.run.validate()?;
+    Ok(c)
 }
 
 /// One line per fault kind actually injected, from the chaos metrics.
@@ -1845,10 +1719,10 @@ fn promote_fixture(
     name: &str,
     plan: &scotch_sim::fault::FaultPlan,
     seed: u64,
-    opts: &Options,
     copts: &ChaosOptions,
     violations: &[scotch::Violation],
 ) {
+    let opts = &copts.run;
     let dir = std::path::Path::new("crates/scotch/tests/fixtures");
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
@@ -1882,33 +1756,18 @@ fn promote_fixture(
     }
 }
 
+const CHAOS_USAGE: &str = "\
+usage: scotch-cli chaos [SCENARIO OPTIONS] [--plan FILE | --events N]
+                        [--search N] [--shrink-runs N] [--failover-bound S]
+                        [--setup-bound S] [--max-undeliverable N] [--report FILE]
+                        [--plan-out FILE] [--promote NAME]";
+
 fn chaos_main(args: &[String]) -> i32 {
-    let usage = || {
-        eprintln!("usage: scotch-cli chaos [SCENARIO OPTIONS] [--plan FILE | --events N]");
-        eprintln!("                        [--search N] [--shrink-runs N] [--failover-bound S]");
-        eprintln!(
-            "                        [--setup-bound S] [--max-undeliverable N] [--report FILE]"
-        );
-        eprintln!("                        [--plan-out FILE] [--promote NAME]");
+    let copts = match parse_chaos_args(args) {
+        Ok(c) => c,
+        Err(e) => return usage_exit(&e, CHAOS_USAGE),
     };
-    let (copts, rest) = match parse_chaos_args(args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            usage();
-            return 2;
-        }
-    };
-    let opts = match parse_args(&rest) {
-        Ok(o) => o,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            usage();
-            return if e == "help" { 0 } else { 2 };
-        }
-    };
+    let opts = &copts.run;
 
     let horizon = SimTime::from_secs_f64(opts.duration);
     let horizon_dur = SimDuration::from_secs_f64(opts.duration);
@@ -1922,27 +1781,16 @@ fn chaos_main(args: &[String]) -> i32 {
     cfg.max_undeliverable = copts.max_undeliverable;
 
     let run_one = |plan: &scotch_sim::fault::FaultPlan, seed: u64| {
-        scotch::chaos::run_plan(&|| build_scenario(&opts), seed, horizon, plan, &cfg)
+        scotch::chaos::run_plan(&|| build_scenario(opts), seed, horizon, plan, &cfg)
     };
 
     // Pinned-plan mode, or a single generated plan when --search is absent.
     let Some(tries) = copts.search else {
-        let plan = match &copts.plan {
-            Some(path) => {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("error: cannot read plan {path}: {e}");
-                        return 2;
-                    }
-                };
-                match scotch_sim::fault::FaultPlan::parse(&text) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        eprintln!("error: bad plan {path}: {e}");
-                        return 2;
-                    }
-                }
+        let plan = match copts.plan.as_deref().map(load_plan) {
+            Some(Ok(p)) => p,
+            Some(Err(e)) => {
+                eprintln!("error: {e}");
+                return 2;
             }
             None => scotch::chaos::generate_plan(opts.seed, horizon_dur, copts.events),
         };
@@ -1968,7 +1816,7 @@ fn chaos_main(args: &[String]) -> i32 {
             write_chaos_report(path, &plan, opts.seed, &outcome.violations);
         }
         if let Some(name) = &copts.promote {
-            promote_fixture(name, &plan, opts.seed, &opts, &copts, &outcome.violations);
+            promote_fixture(name, &plan, opts.seed, &copts, &outcome.violations);
         }
         return 1;
     };
@@ -2016,7 +1864,7 @@ fn chaos_main(args: &[String]) -> i32 {
             write_chaos_report(path, &small, seed, &final_outcome.violations);
         }
         if let Some(name) = &copts.promote {
-            promote_fixture(name, &small, seed, &opts, &copts, &final_outcome.violations);
+            promote_fixture(name, &small, seed, &copts, &final_outcome.violations);
         }
         return 1;
     }
@@ -2042,26 +1890,14 @@ impl Default for DeterminismOptions {
 
 fn parse_determinism_args(args: &[String]) -> Result<DeterminismOptions, String> {
     let mut o = DeterminismOptions::default();
-    let mut i = 0;
-    let next = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value after {}", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--duration" => {
-                o.duration = next(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--duration: {e}"))?
-            }
-            "--plan" => o.plan = Some(next(&mut i)?),
-            "--help" | "-h" => return Err("help".into()),
-            other => return Err(format!("unknown determinism option {other}")),
+    parse_flags(args, |flag, a| {
+        match flag {
+            "--duration" => o.duration = a.positive()?,
+            "--plan" => o.plan = Some(a.text()?),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
+        Ok(true)
+    })?;
     Ok(o)
 }
 
@@ -2132,34 +1968,19 @@ fn determinism_cases(
 /// exact reports the golden tests check.
 const DETERMINISM_SEED: u64 = 20141202;
 
+const DETERMINISM_USAGE: &str = "usage: scotch-cli determinism [--duration SECS] [--plan FILE]";
+
 fn determinism_main(args: &[String]) -> i32 {
     let opts = match parse_determinism_args(args) {
         Ok(o) => o,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("usage: scotch-cli determinism [--duration SECS] [--plan FILE]");
-            return if e == "help" { 0 } else { 2 };
-        }
+        Err(e) => return usage_exit(&e, DETERMINISM_USAGE),
     };
     let horizon = SimTime::from_secs_f64(opts.duration);
-    let plan = match &opts.plan {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read plan {path}: {e}");
-                    return 2;
-                }
-            };
-            match scotch_sim::fault::FaultPlan::parse(&text) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error: bad plan {path}: {e}");
-                    return 2;
-                }
-            }
+    let plan = match opts.plan.as_deref().map(load_plan) {
+        Some(Ok(p)) => p,
+        Some(Err(e)) => {
+            eprintln!("error: {e}");
+            return 2;
         }
         None => scotch::chaos::generate_plan(
             DETERMINISM_SEED,
@@ -2211,33 +2032,24 @@ fn determinism_main(args: &[String]) -> i32 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("trace") {
-        std::process::exit(trace_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("explain") {
-        std::process::exit(explain_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("determinism") {
-        std::process::exit(determinism_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("chaos") {
-        std::process::exit(chaos_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("sweep") {
-        std::process::exit(sweep_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        std::process::exit(bench_main(&args[1..]));
-    }
-    let opts = match parse_args(&args) {
+    let rest = args.get(1..).unwrap_or_default();
+    std::process::exit(match args.first().map(String::as_str) {
+        Some("trace") => trace_main(rest),
+        Some("explain") => explain_main(rest),
+        Some("determinism") => determinism_main(rest),
+        Some("chaos") => chaos_main(rest),
+        Some("sweep") => sweep_main(rest),
+        Some("bench") => bench_main(rest),
+        _ => run_main(&args),
+    });
+}
+
+const RUN_USAGE: &str = "usage: see the doc comment at the top of scotch-cli.rs, or README.md";
+
+fn run_main(args: &[String]) -> i32 {
+    let opts = match parse_args(args) {
         Ok(o) => o,
-        Err(e) => {
-            if e != "help" {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("usage: see the doc comment at the top of scotch-cli.rs, or README.md");
-            std::process::exit(if e == "help" { 0 } else { 2 });
-        }
+        Err(e) => return usage_exit(&e, RUN_USAGE),
     };
 
     let horizon = SimTime::from_secs_f64(opts.duration);
@@ -2306,6 +2118,7 @@ fn main() {
             println!("mean client flow completion time: {:.4}s", fct);
         }
     }
+    0
 }
 
 #[cfg(test)]
@@ -2424,6 +2237,115 @@ mod tests {
         for d in ["nan", "inf", "-1", "0"] {
             assert!(parse(&format!("--duration {d}")).is_err(), "--duration {d}");
         }
+        // Inputs that used to run and exit 0 with a meaningless result.
+        for args in [
+            "--clients -5",
+            "--clients nan",
+            "--elephants 2 0 100",
+            "--elephants 2 -1 100",
+            "--elephants 2 nan 100",
+            "--attack 100 --attack-window 2 1",
+            "--attack 100 --attack-window 1 1",
+            "--attack 100 --attack-window nan 1",
+            "--attack 100 --attack-window -1 1",
+            "--attack 100 --attack-window 1 inf",
+        ] {
+            assert!(parse(args).is_err(), "{args}");
+        }
+        // Zero clients still means "no clients".
+        assert_eq!(parse("--clients 0").unwrap().clients, 0.0);
+        assert!(parse("--attack 100 --attack-window 0 1").is_ok());
+    }
+
+    /// Every `scotch-cli` invocation documented in `.github/workflows/ci.yml`,
+    /// `README.md` and the repository's build-and-verify notes, copied
+    /// verbatim (continuation lines joined, program path dropped).
+    const DOCUMENTED_COMMAND_LINES: &[&str] = &[
+        // ci.yml
+        "chaos --duration 10 --seed 42 --controllers 3 --sync-latency-us 500 \
+         --plan crates/scotch/tests/golden/chaos_pinned.plan \
+         --report ci-results/chaos-violations.txt",
+        "determinism --plan crates/scotch/tests/golden/chaos_pinned.plan",
+        "sweep --smoke --out ci-results",
+        "bench hotpath --baseline BENCH_hotpath.json --gate --label ci \
+         --out ci-results/BENCH_hotpath.fresh.json",
+        "bench hotpath --trace-overhead",
+        "explain --scenario datacenter --attack 1000 --clients 50 --duration 2 \
+         --seed 20141202 --rate 1 --slowest 5 --stage-summary \
+         --export ci-results/flow-journeys.jsonl",
+        "explain --scenario datacenter --attack 1000 --clients 50 --duration 2 \
+         --seed 20141202 --rate 1 --stage-summary --slo",
+        "sweep --sampling-ablation --seeds 2 --duration 6 --out ci-results",
+        "bench hotpath --profile --iters 1 --quiet \
+         --out ci-results/BENCH_hotpath.profiled.json",
+        "trace --scenario datacenter --attack 1000 --clients 50 --duration 2 \
+         --seed 20141202 --out ci-results/trace-sample.jsonl",
+        "chaos --duration 10 --seed ${{ github.run_number }} --search 50 \
+         --plan-out ci-results/chaos-minimal-failing.plan \
+         --report ci-results/chaos-search-report.txt",
+        // README.md
+        "--scenario multirack --racks 3 --mesh 2 --attack 2500 --clients 100 \
+         --duration 10 --seed 7 --json",
+        "--attack 2000 --pcap server0 server0.pcap",
+        "bench hotpath --baseline BENCH_hotpath.json --iters 10",
+        "--attack 2000 --elephants 3 1000 6000 --sampling-rate 0.015625",
+        "sweep --sampling-ablation --seeds 3 --duration 6",
+        "trace --scenario datacenter --attack 2000 --clients 50 --duration 2 --seed 7 --limit 3",
+        "explain --scenario datacenter --attack 1000 --clients 50 --duration 2 \
+         --seed 20141202 --slowest 2",
+        "sweep",
+        "sweep --scenario multirack --seeds 8 --threads 4",
+        "sweep --smoke",
+        "chaos --duration 10 --seed 42 --controllers 3 --sync-latency-us 500 \
+         --plan crates/scotch/tests/golden/chaos_pinned.plan",
+        "chaos --duration 10 --seed 7",
+        "chaos --search 50 --shrink-runs 200 --plan-out minimal.plan --report violations.txt",
+        "chaos --seed 7 --failover-bound 0",
+        "chaos --seed 7 --failover-bound 0 --promote my_regression",
+        "explain --scenario datacenter --controllers 3 --sync-latency-us 20000 \
+         --failover 1.0 --attack 2000 --duration 3 --slowest 3",
+        "chaos --controllers 3",
+        "determinism",
+        "bench hotpath --gate",
+        "chaos --search 50",
+        // build-and-verify notes
+        "--scenario single --attack 500 --duration 2 --seed 3",
+        "sweep --smoke --out /tmp/sweepA",
+        "sweep --smoke --out /tmp/sweepB --quiet",
+        "determinism --plan crates/scotch/tests/golden/chaos_pinned.plan",
+    ];
+
+    /// Parse one command line the way `main` dispatches it; `Some` carries
+    /// the scenario flags of the subcommands that take them.
+    fn parse_command_line(line: &str) -> Result<Option<Options>, String> {
+        let line = line.replace("${{ github.run_number }}", "17");
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let rest = &args[1..];
+        match args[0].as_str() {
+            "trace" => parse_trace_args(rest).map(|t| Some(t.run)),
+            "explain" => parse_explain_args(rest).map(|e| Some(e.run)),
+            "chaos" => parse_chaos_args(rest).map(|c| Some(c.run)),
+            "sweep" => parse_sweep_args(rest).map(|_| None),
+            "bench" => {
+                assert_eq!(rest[0], "hotpath", "{line}");
+                parse_bench_args(&rest[1..]).map(|_| None)
+            }
+            "determinism" => parse_determinism_args(rest).map(|_| None),
+            _ => parse_args(&args).map(Some),
+        }
+    }
+
+    #[test]
+    fn documented_command_lines_parse() {
+        for line in DOCUMENTED_COMMAND_LINES {
+            match parse_command_line(line) {
+                Ok(Some(o)) => {
+                    let _sim = build_scenario(&o).build(o.seed);
+                }
+                Ok(None) => {}
+                Err(e) => panic!("`{line}` does not parse: {e}"),
+            }
+        }
     }
 
     #[test]
@@ -2446,14 +2368,14 @@ mod tests {
         }
     }
 
-    fn parse_trace(s: &str) -> Result<(TraceOptions, Vec<String>), String> {
+    fn parse_trace(s: &str) -> Result<TraceOptions, String> {
         let args: Vec<String> = s.split_whitespace().map(String::from).collect();
         parse_trace_args(&args)
     }
 
     #[test]
     fn trace_flags_split_from_scenario_flags() {
-        let (t, rest) = parse_trace(
+        let t = parse_trace(
             "--scenario single --attack 500 --out t.jsonl --filter overlay,queue \
              --verbose --capacity 1024 --limit 50 --summary",
         )
@@ -2464,16 +2386,14 @@ mod tests {
         assert_eq!(t.capacity, 1024);
         assert_eq!(t.limit, 50);
         assert!(t.summary);
-        // Scenario flags pass through untouched, in order.
-        assert_eq!(rest, vec!["--scenario", "single", "--attack", "500"]);
-        let o = parse_args(&rest).unwrap();
-        assert_eq!(o.scenario, "single");
-        assert_eq!(o.attack, Some(500.0));
+        // Scenario flags land in the shared options in the same pass.
+        assert_eq!(t.run.scenario, "single");
+        assert_eq!(t.run.attack, Some(500.0));
     }
 
     #[test]
     fn trace_config_filter_silences_unlisted_categories() {
-        let (t, _) = parse_trace("--filter overlay,health").unwrap();
+        let t = parse_trace("--filter overlay,health").unwrap();
         let config = trace_config(&t).unwrap();
         assert_eq!(
             config.levels[TraceCategory::Overlay.index()],
@@ -2489,7 +2409,7 @@ mod tests {
 
     #[test]
     fn trace_config_verbose_raises_kept_categories() {
-        let (t, _) = parse_trace("--verbose --filter flow").unwrap();
+        let t = parse_trace("--verbose --filter flow").unwrap();
         let config = trace_config(&t).unwrap();
         assert_eq!(
             config.levels[TraceCategory::Flow.index()],
@@ -2505,18 +2425,18 @@ mod tests {
     fn trace_rejects_bad_input() {
         assert!(parse_trace("--capacity 0").is_err());
         assert!(parse_trace("--out").is_err());
-        let (t, _) = parse_trace("--filter bogus").unwrap();
+        let t = parse_trace("--filter bogus").unwrap();
         assert!(trace_config(&t).is_err());
     }
 
-    fn parse_explain(s: &str) -> Result<(ExplainOptions, Vec<String>), String> {
+    fn parse_explain(s: &str) -> Result<ExplainOptions, String> {
         let args: Vec<String> = s.split_whitespace().map(String::from).collect();
         parse_explain_args(&args)
     }
 
     #[test]
     fn explain_flags_split_from_scenario_flags() {
-        let (e, rest) = parse_explain(
+        let e = parse_explain(
             "--scenario datacenter --attack 2000 --rate 0.25 --journey 42 --journey 0x2a \
              --slowest 3 --stage-summary --export j.jsonl",
         )
@@ -2527,19 +2447,19 @@ mod tests {
         assert!(e.stage_summary);
         assert_eq!(e.export.as_deref(), Some("j.jsonl"));
         assert!(!e.slo);
-        assert_eq!(rest, vec!["--scenario", "datacenter", "--attack", "2000"]);
-        assert!(parse_args(&rest).is_ok());
+        assert_eq!(e.run.scenario, "datacenter");
+        assert_eq!(e.run.attack, Some(2000.0));
     }
 
     #[test]
     fn explain_defaults_and_slo_flags() {
-        let (e, _) = parse_explain("").unwrap();
+        let e = parse_explain("").unwrap();
         assert_eq!(e, ExplainOptions::default());
         assert_eq!(e.rate, DEFAULT_JOURNEY_RATE);
         assert_eq!(e.slowest, 5);
-        let (e, _) = parse_explain("--slo").unwrap();
+        let e = parse_explain("--slo").unwrap();
         assert!(e.slo && e.slo_table.is_none());
-        let (e, _) = parse_explain("--slo-table slo.txt").unwrap();
+        let e = parse_explain("--slo-table slo.txt").unwrap();
         assert!(e.slo);
         assert_eq!(e.slo_table.as_deref(), Some("slo.txt"));
     }
@@ -2590,6 +2510,10 @@ mod tests {
         assert!(parse_det("--shards 2,4").is_err());
         assert!(parse_det("--threads 3").is_err());
         assert!(parse_det("--bogus").is_err());
+        // A gate over empty runs would pass vacuously.
+        for d in ["nan", "0", "-1"] {
+            assert!(parse_det(&format!("--duration {d}")).is_err(), "{d}");
+        }
     }
 
     #[test]
@@ -2654,17 +2578,41 @@ mod tests {
                 .split_whitespace()
                 .map(String::from)
                 .collect();
-        let (c, rest) = parse_chaos_args(&args).unwrap();
+        let c = parse_chaos_args(&args).unwrap();
         assert_eq!(c.setup_bound, Some(0.25));
         assert_eq!(c.promote.as_deref(), Some("repro-1"));
         assert_eq!(c.plan.as_deref(), Some("p.plan"));
-        assert_eq!(rest, ["--controllers", "3"]);
+        assert_eq!(c.run.controllers, 3);
     }
 
     #[test]
     fn chaos_promote_rejects_path_like_names() {
         let args: Vec<String> = vec!["--promote".into(), "../evil".into()];
         assert!(parse_chaos_args(&args).is_err());
+    }
+
+    #[test]
+    fn chaos_rejects_inputs_that_change_meaning() {
+        let parse_chaos = |s: &str| {
+            let args: Vec<String> = s.split_whitespace().map(String::from).collect();
+            parse_chaos_args(&args)
+        };
+        for args in [
+            "--failover-bound nan",
+            "--failover-bound -1",
+            "--setup-bound nan",
+            "--setup-bound -1",
+            "--setup-bound 0",
+            "--search 5 --plan p.plan",
+        ] {
+            assert!(parse_chaos(args).is_err(), "{args}");
+        }
+        // 0 is the deliberate I2-breaking bound; huge bounds are legal.
+        assert_eq!(
+            parse_chaos("--failover-bound 0").unwrap().failover_bound,
+            Some(0.0)
+        );
+        assert!(parse_chaos("--failover-bound 1e300").is_ok());
     }
 
     fn parse_sweep(s: &str) -> Result<SweepOptions, String> {
@@ -2707,6 +2655,17 @@ mod tests {
         assert!(parse_sweep("--scaling").is_err());
         assert!(parse_sweep("--bogus").is_err());
         assert!(parse_sweep("--seeds").is_err());
+        for args in [
+            "--duration nan",
+            "--duration 0",
+            "--attack -5",
+            "--attack 0",
+            "--clients -3",
+            "--clients nan",
+        ] {
+            assert!(parse_sweep(args).is_err(), "{args}");
+        }
+        assert_eq!(parse_sweep("--clients 0").unwrap().clients, 0.0);
     }
 
     fn parse_bench(s: &str) -> Result<BenchOptions, String> {

@@ -214,7 +214,7 @@ pub fn check(report: &Report, plan: &FaultPlan, cfg: &ChaosConfig) -> Vec<Violat
         let TraceEvent::FaultInjected { kind: 0, target } = rec.event else {
             continue;
         };
-        let deadline = rec.at + cfg.failover_bound;
+        let deadline = rec.at.saturating_add(cfg.failover_bound);
         if deadline > horizon {
             continue; // bound extends past the run: not judgeable
         }

@@ -1468,7 +1468,7 @@ impl Simulation {
             self.process_event(now, ev);
         }
 
-        if !self.fault_plan.is_empty() {
+        if self.chaos_seed.is_some() {
             // Tally everything still queued past the horizon so the chaos
             // conservation invariants reconcile exactly (messages in flight
             // are neither delivered nor lost — they are accounted).
@@ -1954,9 +1954,10 @@ impl Simulation {
                 }
             }
         }
-        if !self.fault_plan.is_empty() {
-            // Chaos ledger: only exported when a fault plan was attached, so
-            // fault-free golden runs keep their exact metric surface.
+        if self.chaos_seed.is_some() {
+            // Chaos ledger: only exported when a fault plan was attached
+            // (even an empty one), so fault-free golden runs keep their
+            // exact metric surface.
             let c = &self.chaos;
             for (i, &n) in c.injected.iter().enumerate() {
                 reg.add(&format!("chaos.injected.{}", FAULT_KIND_NAMES[i]), n);

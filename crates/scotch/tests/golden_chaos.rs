@@ -133,6 +133,46 @@ fn zero_failover_bound_is_reported() {
     assert!(violations.iter().all(|v| !v.trace_window.is_empty()));
 }
 
+/// A failover bound past the horizon makes every crash unjudgeable: the
+/// deadline saturates instead of overflowing (which wrapped it into false
+/// I2 violations).
+#[test]
+fn failover_bound_past_the_horizon_is_not_judged() {
+    let plan = FaultPlan::parse(PINNED_PLAN).expect("pinned plan parses");
+    let report = run_pinned();
+    let cfg = ChaosConfig {
+        failover_bound: SimDuration(u64::MAX),
+        ..ChaosConfig::for_scotch(&ScotchConfig::default())
+    };
+    let violations = chaos::check(&report, &plan, &cfg);
+    assert!(
+        violations
+            .iter()
+            .all(|v| v.invariant != "I2-failover-bound"),
+        "unexpected I2 violations:\n{}",
+        chaos::render_violations(&violations)
+    );
+}
+
+/// An attached but empty fault plan still turns the chaos ledger on, and
+/// the ledger balances: no injections means no violations.
+#[test]
+fn empty_fault_plan_is_clean() {
+    let outcome = chaos::run_plan(
+        &|| Scenario::overlay_datacenter(4).with_clients(100.0),
+        1,
+        SimTime::from_secs(1),
+        &FaultPlan::new(),
+        &ChaosConfig::default(),
+    );
+    assert!(
+        outcome.violations.is_empty(),
+        "empty plan reported violations:\n{}",
+        chaos::render_violations(&outcome.violations)
+    );
+    assert!(outcome.report.metrics.get("chaos.flowmod_add.sent") > Some(0.0));
+}
+
 /// Regression for the per-flow setup-latency invariant (I7): an impossible
 /// bound must be caught, with trace-window context, while the default
 /// (unchecked) config stays clean on the same run.

@@ -143,6 +143,11 @@ impl SimTime {
     pub fn saturating_sub(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(d.0))
     }
+
+    /// Saturating addition of a duration.
+    pub fn saturating_add(self, d: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_add(d.0))
+    }
 }
 
 impl Add<SimDuration> for SimTime {
