@@ -12,7 +12,7 @@ use scotch_openflow::{
     Action, Bucket, FlowEntry, GroupEntry, Match, Pipeline, SelectionPolicy, TableId,
 };
 use scotch_sim::rate::FifoServer;
-use scotch_sim::{EventQueue, SimRng, SimTime};
+use scotch_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -24,10 +24,16 @@ fn bench<R>(filter: &Option<String>, name: &str, mut f: impl FnMut() -> R) {
             return;
         }
     }
-    // Warm up and estimate the per-iteration cost.
+    // Warm up for ~10 ms (at least one call) and estimate the
+    // per-iteration cost from it; one call alone is too noisy a clock
+    // sample for the nanosecond-scale rows.
     let t0 = Instant::now();
-    black_box(f());
-    let once = t0.elapsed().max(Duration::from_nanos(1));
+    let mut calls = 0u32;
+    while calls == 0 || t0.elapsed() < Duration::from_millis(10) {
+        black_box(f());
+        calls += 1;
+    }
+    let once = (t0.elapsed() / calls).max(Duration::from_nanos(1));
     let iters =
         (Duration::from_millis(50).as_nanos() / once.as_nanos()).clamp(1, 10_000_000) as u64;
 
@@ -114,6 +120,29 @@ fn bench_event_queue(filter: &Option<String>) {
         }
         black_box(sum)
     });
+    // The engine's steady state: a queue held at a fixed length, each op
+    // popping the earliest event and scheduling one successor. Payloads
+    // are 72 bytes, the size of the simulator's `Event`; delays are
+    // log-uniform from 1 ns to ~16 ms so every wheel level sees traffic.
+    // 200 is about the single-switch flood's mean queue length, 4400 the
+    // leaf-spine fabric's; 50k guards large-queue scaling.
+    for len in [200usize, 4400, 50_000] {
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut delay = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            SimDuration::from_nanos(1 + (x >> 5) % (1 << (x % 24)))
+        };
+        let mut q = EventQueue::new();
+        for i in 0..len as u64 {
+            q.push(SimTime::ZERO + delay(), [i; 9]);
+        }
+        bench(filter, &format!("event_queue_hold_{len}"), || {
+            let (at, payload) = q.pop().expect("the queue holds len events");
+            q.push(at + delay(), black_box(payload));
+        });
+    }
 }
 
 fn bench_fifo_server(filter: &Option<String>) {

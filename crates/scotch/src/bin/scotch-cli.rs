@@ -1482,7 +1482,9 @@ fn bench_main(args: &[String]) -> i32 {
         for (name, make, horizon) in hotpath_scenarios(opts.sampling_rate) {
             let mut sim = make().build_until(HOTPATH_SEED, horizon);
             sim.enable_profiling();
+            let start = std::time::Instant::now();
             let report = sim.run(horizon);
+            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             eprintln!("{name}:");
             eprintln!(
                 "  {:<22} {:>10} {:>9} {:>9} {:>9} {:>10}",
@@ -1510,6 +1512,15 @@ fn bench_main(args: &[String]) -> i32 {
                 .map(|e| format!("{} {:.2}ms", e.name, e.total_ns / 1e6))
                 .collect();
             eprintln!("  top kinds by total: {}", top.join(", "));
+            // What the rows cannot attribute: the event queue, dispatch
+            // itself, report assembly and the profiler's own clock reads.
+            let rows_ms: f64 = report.profile.iter().map(|e| e.total_ns / 1e6).sum();
+            let unaccounted_ms = wall_ms - rows_ms;
+            eprintln!("  sim.run wall {wall_ms:.2}ms");
+            eprintln!(
+                "  unaccounted {unaccounted_ms:.2}ms ({:.1}% of wall)",
+                100.0 * unaccounted_ms / wall_ms.max(1e-9)
+            );
         }
     }
 

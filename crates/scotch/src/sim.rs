@@ -41,9 +41,11 @@ pub(crate) enum Event {
     /// the optional controller-capacity gate).
     ///
     /// Control messages are boxed to keep the `Event` enum at the size of
-    /// its hot variant (`Arrive`): every event is memmoved several times
-    /// through the timing wheel, so the max variant size is a hot-path
-    /// constant, while control events are comparatively rare.
+    /// its hot variant (`Arrive`): every event is copied into the event
+    /// queue's payload slab on push and out of it on pop, and the slab
+    /// holds one `Event`-sized slot per pending event, while control
+    /// events are comparatively rare. The wheel itself moves only 24-byte
+    /// keys, so whether unboxing would now pay is an open measurement.
     CtrlFromSwitch {
         from: NodeId,
         msg: Box<SwitchToController>,

@@ -26,11 +26,20 @@
 //! timestamp at its level (`(at >> 8k) & 0xff`); when the cursor enters a
 //! level-`k > 0` slot's window the slot *cascades* — its events re-place
 //! into finer levels — until the due events sit in a level-0 slot, which
-//! holds a single timestamp and drains in seq order.
+//! holds a single timestamp and drains in seq order. A slot holding a
+//! single event skips the cascade: it is due at once.
+//!
+//! ## Keys and payloads
+//!
+//! The wheel buckets, the spill heap and the due run hold only 24-byte
+//! `(at, seq, slot)` keys. Payloads live in a free-listed slab: written
+//! once on push, read once on pop, never moved by a cascade. Pop order is
+//! decided by the keys alone, so it is the same `(time, seq)` order as
+//! [`HeapEventQueue`]'s.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// Internal heap entry. `Reverse`-style ordering: the *earliest* event is the
 /// greatest element so it surfaces at the top of the max-heap.
@@ -148,20 +157,58 @@ const LEVELS: usize = 4;
 /// Deltas at or beyond this go to the spill heap (`2^(8 * LEVELS)` ns).
 const HORIZON: u64 = 1 << (8 * LEVELS as u32);
 
-/// A scheduled event inside a wheel bucket.
-struct Node<E> {
+/// What the wheel moves: a pending event's `(at, seq)` order plus the
+/// index of its payload in the [`Slab`]. 24 bytes whatever the payload's
+/// size. The derived order is `(at, seq)`; `slot` never decides it
+/// because `seq` is unique.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: u64,
     seq: u64,
-    payload: E,
+    slot: u32,
 }
 
-/// One wheel level: 256 buckets plus an occupancy bitmap for O(1) scans.
-struct Level<E> {
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
+
+/// Payload storage: each payload is written once on push and read once
+/// on pop, at a stable index. Freed indices are reused last-in first-out,
+/// so the slab grows only to the peak number of pending events.
+struct Slab<E> {
+    items: Vec<Option<E>>,
+    free: Vec<u32>,
+}
+
+impl<E> Slab<E> {
+    fn insert(&mut self, payload: E) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.items[slot as usize] = Some(payload);
+            return slot;
+        }
+        let slot = u32::try_from(self.items.len()).expect("fewer than 2^32 pending events");
+        self.items.push(Some(payload));
+        slot
+    }
+
+    fn remove(&mut self, slot: u32) -> E {
+        let payload = self.items[slot as usize]
+            .take()
+            .expect("a key's slab slot holds its payload");
+        self.free.push(slot);
+        payload
+    }
+
+    fn len(&self) -> usize {
+        self.items.len() - self.free.len()
+    }
+}
+
+/// One wheel level: 256 key buckets plus an occupancy bitmap for O(1) scans.
+struct Level {
     occ: [u64; 4],
-    slots: Vec<Vec<Node<E>>>,
+    slots: Vec<Vec<Key>>,
 }
 
-impl<E> Level<E> {
+impl Level {
     fn new() -> Self {
         Level {
             occ: [0; 4],
@@ -169,37 +216,27 @@ impl<E> Level<E> {
         }
     }
 
-    fn push(&mut self, slot: usize, node: Node<E>) {
+    fn push(&mut self, slot: usize, key: Key) {
         self.occ[slot / 64] |= 1u64 << (slot % 64);
-        self.slots[slot].push(node);
+        self.slots[slot].push(key);
     }
 
-    /// First occupied slot at index `>= from`. No wrap-around: an event's
-    /// slot digit is never below the cursor's digit at its level (they
-    /// share all higher digits and the event is not in the past), so slots
-    /// behind the cursor are empty. Slot order is time order per level.
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        let (w0, b0) = (from / 64, from % 64);
-        let masked = self.occ[w0] & (!0u64 << b0);
-        if masked != 0 {
-            return Some(w0 * 64 + masked.trailing_zeros() as usize);
-        }
-        for w in w0 + 1..4 {
-            if self.occ[w] != 0 {
-                return Some(w * 64 + self.occ[w].trailing_zeros() as usize);
-            }
-        }
-        None
+    /// The first occupied slot. Slots behind the cursor's digit at this
+    /// level are always empty (see [`EventQueue::place`]), so slot order
+    /// is time order and no wrap-around search is needed.
+    fn first_occupied(&self) -> Option<usize> {
+        let w = self.occ.iter().position(|&w| w != 0)?;
+        Some(w * 64 + self.occ[w].trailing_zeros() as usize)
     }
 
     /// Take a slot's bucket, clearing its occupancy bit. The caller returns
-    /// the emptied `Vec` via [`Level::restore`] so its capacity is reused.
-    fn take(&mut self, slot: usize) -> Vec<Node<E>> {
+    /// an emptied `Vec` via [`Level::restore`] so its capacity is reused.
+    fn take(&mut self, slot: usize) -> Vec<Key> {
         self.occ[slot / 64] &= !(1u64 << (slot % 64));
         std::mem::take(&mut self.slots[slot])
     }
 
-    fn restore(&mut self, slot: usize, mut bucket: Vec<Node<E>>) {
+    fn restore(&mut self, slot: usize, mut bucket: Vec<Key>) {
         debug_assert!(self.slots[slot].is_empty());
         bucket.clear();
         self.slots[slot] = bucket;
@@ -221,21 +258,19 @@ impl<E> Level<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    levels: Vec<Level<E>>,
-    /// Events beyond the wheel horizon, ordered by `(at, seq)`.
-    spill: BinaryHeap<Entry<E>>,
-    /// The drained due bucket: events at `current_at`, in seq order.
-    current: VecDeque<(u64, E)>,
-    current_at: SimTime,
-    /// The wheel's position, in ns. Invariants: `now <= cursor`, and every
-    /// event in the wheel or spill has `at >= cursor`.
+    levels: [Level; LEVELS],
+    /// Keys beyond the wheel horizon, earliest `(at, seq)` on top.
+    spill: BinaryHeap<Reverse<Key>>,
+    /// The due run: one drained bucket whose keys are all at the cursor's
+    /// time, in *descending* seq order so the next event pops off the end.
+    current: Vec<Key>,
+    slab: Slab<E>,
+    /// The wheel's position, in ns. Between calls it is the timestamp of
+    /// the last popped event (`t = 0` before the first), and every pending
+    /// event has `at >= cursor`.
     cursor: u64,
-    pending: usize,
+    /// Sequence number of the next push, i.e. the number of pushes so far.
     seq: u64,
-    /// Timestamp of the last popped event; pops are monotone.
-    now: SimTime,
-    pushed_total: u64,
-    popped_total: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -248,16 +283,15 @@ impl<E> EventQueue<E> {
     /// An empty queue positioned at `t = 0`.
     pub fn new() -> Self {
         EventQueue {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            levels: std::array::from_fn(|_| Level::new()),
             spill: BinaryHeap::new(),
-            current: VecDeque::new(),
-            current_at: SimTime::ZERO,
+            current: Vec::new(),
+            slab: Slab {
+                items: Vec::new(),
+                free: Vec::new(),
+            },
             cursor: 0,
-            pending: 0,
             seq: 0,
-            now: SimTime::ZERO,
-            pushed_total: 0,
-            popped_total: 0,
         }
     }
 
@@ -267,66 +301,59 @@ impl<E> EventQueue<E> {
     /// to the current time instead of time-travelling, which keeps the pop
     /// stream monotone.
     pub fn push(&mut self, at: SimTime, payload: E) {
-        let at = at.max(self.now);
-        let seq = self.seq;
+        let key = Key {
+            at: at.0.max(self.cursor),
+            seq: self.seq,
+            slot: self.slab.insert(payload),
+        };
         self.seq += 1;
-        self.pushed_total += 1;
-        self.pending += 1;
-        self.place(at.0, seq, payload);
+        self.place(key);
     }
 
-    /// Route an event to its wheel level, or to the spill heap.
+    /// Route a key to its wheel level, or to the spill heap.
     ///
     /// The level is the position of the highest digit (base 256) in which
     /// `at` differs from the cursor. That guarantees the target slot is
     /// strictly ahead of the cursor's slot at that level (equal higher
     /// digits, larger level digit), so cascades always re-place into finer
-    /// levels and terminate. Events whose top four digits differ from the
-    /// cursor's don't fit the wheel and go to the spill heap — since they
-    /// exceed the cursor in a higher digit, they sort after every wheel
-    /// event.
-    fn place(&mut self, at: u64, seq: u64, payload: E) {
-        debug_assert!(at >= self.cursor);
-        let diff = at ^ self.cursor;
+    /// levels and terminate. It also orders the levels: every key at a
+    /// finer level shares the cursor's digit where a coarser key's digit
+    /// is larger, so it is earlier. Keys whose top four digits differ from
+    /// the cursor's don't fit the wheel and go to the spill heap — since
+    /// they exceed the cursor in a higher digit, they sort after every
+    /// wheel key.
+    fn place(&mut self, key: Key) {
+        debug_assert!(key.at >= self.cursor);
+        let diff = key.at ^ self.cursor;
         if diff >= HORIZON {
-            self.spill.push(Entry {
-                at: SimTime(at),
-                seq,
-                payload,
-            });
+            self.spill.push(Reverse(key));
             return;
         }
         let level = (63 - (diff | 1).leading_zeros() as usize) / 8;
-        let slot = ((at >> (8 * level)) & 0xff) as usize;
-        self.levels[level].push(slot, Node { at, seq, payload });
+        let slot = ((key.at >> (8 * level)) & 0xff) as usize;
+        self.levels[level].push(slot, key);
     }
 
-    /// Absolute start of the part of `(level, slot)`'s window at or after
-    /// the cursor. `slot` is at or ahead of the cursor's index (see
-    /// [`Level::next_occupied`]).
-    fn window_start(&self, level: usize, slot: usize) -> u64 {
-        let shift = 8 * level as u32;
-        let idx = (self.cursor >> shift) & 0xff;
-        ((self.cursor >> shift) - idx + slot as u64) << shift
-    }
-
-    /// Move spill events that now fit the wheel horizon into the wheel.
-    fn migrate_spill(&mut self) {
-        while let Some(e) = self.spill.peek() {
-            if (e.at.0 ^ self.cursor) >= HORIZON {
-                break;
-            }
-            let e = self.spill.pop().unwrap();
-            self.place(e.at.0, e.seq, e.payload);
-        }
+    /// The finest non-empty level and its first occupied slot. By the
+    /// level ordering in [`EventQueue::place`], it holds the earliest
+    /// wheel events.
+    fn lowest_occupied(&self) -> Option<(usize, usize)> {
+        self.levels
+            .iter()
+            .enumerate()
+            .find_map(|(k, level)| level.first_occupied().map(|s| (k, s)))
     }
 
     /// Advance the wheel until the next due bucket is drained into
     /// `current`. Returns `None` when no events are pending anywhere.
     ///
-    /// Spill migration is *lazy*: every spill entry lies in a later
+    /// Only the lowest non-empty level is consulted: moving the cursor to
+    /// the start of a slot's window at level `k` leaves its digits above
+    /// `k` unchanged, so coarser keys stay placed correctly.
+    ///
+    /// Spill migration is *lazy*: every spill key lies in a later
     /// `2^32` ns block than the cursor (that is what put it in the spill),
-    /// and every wheel event shares the cursor's block, so the spill head
+    /// and every wheel key shares the cursor's block, so the spill head
     /// is always later than every wheel event — and the cursor cannot enter
     /// the spill's block while the wheel still holds events. The spill is
     /// therefore consulted only when the wheel drains completely, and then
@@ -335,52 +362,45 @@ impl<E> EventQueue<E> {
     fn refill(&mut self) -> Option<()> {
         debug_assert!(self.current.is_empty());
         loop {
-            // Candidate: the minimal window start over each level's first
-            // occupied slot. Ties prefer the coarser level so its window
-            // cascades before a finer bucket at the same time drains.
-            let mut best: Option<(u64, usize, usize)> = None;
-            for (k, level) in self.levels.iter().enumerate() {
-                let idx = ((self.cursor >> (8 * k as u32)) & 0xff) as usize;
-                if let Some(s) = level.next_occupied(idx) {
-                    let bound = self.window_start(k, s).max(self.cursor);
-                    let better = match best {
-                        None => true,
-                        Some((bb, bk, _)) => bound < bb || (bound == bb && k > bk),
-                    };
-                    if better {
-                        best = Some((bound, k, s));
-                    }
-                }
-            }
-            let Some((bound, k, s)) = best else {
+            let Some((k, s)) = self.lowest_occupied() else {
                 // Wheel empty: jump to the spill's earliest event (if any)
-                // and batch-migrate everything in its block. Entries land
-                // via `place`, cascading level by level as usual.
-                let jump = self.spill.peek()?.at.0;
-                debug_assert!(jump >= self.cursor);
-                self.cursor = jump;
-                self.migrate_spill();
+                // and batch-migrate everything in its block.
+                let Reverse(head) = *self.spill.peek()?;
+                self.cursor = head.at;
+                while let Some(&Reverse(key)) = self.spill.peek() {
+                    if (key.at ^ self.cursor) >= HORIZON {
+                        break;
+                    }
+                    self.spill.pop();
+                    self.place(key);
+                }
                 continue;
             };
-            self.cursor = bound;
             let mut bucket = self.levels[k].take(s);
-            if k == 0 {
-                // A level-0 slot holds a single timestamp; seq order
-                // restores global FIFO across direct pushes, cascades and
-                // spill migrations.
-                bucket.sort_unstable_by_key(|n| n.seq);
-                self.current_at = SimTime(bound);
-                for n in bucket.drain(..) {
-                    debug_assert!(n.at == bound);
-                    self.current.push_back((n.seq, n.payload));
-                }
-                self.levels[0].restore(s, bucket);
+            if k == 0 || bucket.len() == 1 {
+                // The due run. A level-0 slot holds a single timestamp,
+                // and a lone key in the lowest occupied slot is the
+                // earliest pending event, so it needs no cascade. Seq
+                // order restores global FIFO across direct pushes,
+                // cascades and spill migrations.
+                self.cursor = bucket[0].at;
+                bucket.sort_unstable_by_key(|key| Reverse(key.seq));
+                debug_assert!(bucket.iter().all(|key| key.at == self.cursor));
+                let drained = std::mem::replace(&mut self.current, bucket);
+                self.levels[k].restore(s, drained);
                 return Some(());
             }
-            // Cascade: re-place the window's events against the advanced
+            // Move the cursor to the start of the slot's window: its
+            // digits above `k` stay, digit `k` becomes `s`, finer digits
+            // are zero.
+            let shift = 8 * k as u32;
+            let start = (((self.cursor >> shift) & !0xff) | s as u64) << shift;
+            debug_assert!(start > self.cursor);
+            self.cursor = start;
+            // Cascade: re-place the window's keys against the advanced
             // cursor; they land in strictly finer levels.
-            for n in bucket.drain(..) {
-                self.place(n.at, n.seq, n.payload);
+            for key in bucket.drain(..) {
+                self.place(key);
             }
             self.levels[k].restore(s, bucket);
         }
@@ -391,59 +411,46 @@ impl<E> EventQueue<E> {
         if self.current.is_empty() {
             self.refill()?;
         }
-        let (_, payload) = self.current.pop_front().unwrap();
-        let at = self.current_at;
-        debug_assert!(at >= self.now, "event queue went backwards");
-        self.now = at;
-        self.popped_total += 1;
-        self.pending -= 1;
-        Some((at, payload))
+        let key = self.current.pop().expect("refill leaves a due event");
+        debug_assert!(key.at == self.cursor);
+        Some((SimTime(key.at), self.slab.remove(key.slot)))
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         if !self.current.is_empty() {
-            return Some(self.current_at);
+            return Some(SimTime(self.cursor));
         }
-        let mut min: Option<u64> = None;
-        for (k, level) in self.levels.iter().enumerate() {
-            let idx = ((self.cursor >> (8 * k as u32)) & 0xff) as usize;
-            if let Some(s) = level.next_occupied(idx) {
-                // Ring order is time order per level, so the first occupied
-                // slot's earliest entry is the level's minimum.
-                let m = level.slots[s].iter().map(|n| n.at).min().unwrap();
-                min = Some(min.map_or(m, |v: u64| v.min(m)));
-            }
-        }
-        if let Some(e) = self.spill.peek() {
-            min = Some(min.map_or(e.at.0, |v| v.min(e.at.0)));
-        }
-        min.map(SimTime)
+        let at = match self.lowest_occupied() {
+            Some((k, s)) => self.levels[k].slots[s].iter().map(|key| key.at).min(),
+            None => self.spill.peek().map(|Reverse(key)| key.at),
+        };
+        at.map(SimTime)
     }
 
     /// The current simulation time: the timestamp of the last popped event.
     pub fn now(&self) -> SimTime {
-        self.now
+        SimTime(self.cursor)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.pending
+        self.slab.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending == 0
+        self.len() == 0
     }
 
     /// Total events ever pushed (diagnostic).
     pub fn pushed_total(&self) -> u64 {
-        self.pushed_total
+        self.seq
     }
 
     /// Total events ever popped (diagnostic).
     pub fn popped_total(&self) -> u64 {
-        self.popped_total
+        self.seq - self.len() as u64
     }
 }
 
@@ -542,6 +549,111 @@ mod tests {
         q.push(q.now() + SimDuration::from_secs(1), 2);
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 4);
+    }
+
+    /// A long hold-model run against the heap oracle: the queue hovers
+    /// around `target` pending events (a pop is more likely above it, a
+    /// push below it). Delays are log-uniform from 1 ns to ~8.6 s, so
+    /// level-0 collisions, every wheel level and the spill all fire; some
+    /// pushes land exactly at `now`, in the past (clamped), or in bursts
+    /// at one timestamp. Every step compares pops, `peek_time`, `len` and
+    /// `now`; the final drain and the push/pop totals must match too.
+    fn hold_model_matches_heap(target: usize, ops: usize, seed: u64) {
+        let mut rng = crate::rng::SimRng::new(seed);
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapEventQueue::new();
+        let mut id = 0u64;
+        let mut push = |wheel: &mut EventQueue<u64>, heap: &mut HeapEventQueue<u64>, at| {
+            wheel.push(at, id);
+            heap.push(at, id);
+            id += 1;
+        };
+        for _ in 0..ops {
+            if rng.index(2 * target) < heap.len() {
+                assert_eq!(wheel.pop(), heap.pop());
+            } else {
+                let now = heap.now().as_nanos();
+                match rng.index(20) {
+                    0 => push(&mut wheel, &mut heap, SimTime::from_nanos(now)),
+                    1 => {
+                        let past = now.saturating_sub(rng.range_u64(1, 1_000_000));
+                        push(&mut wheel, &mut heap, SimTime::from_nanos(past));
+                    }
+                    2 => {
+                        let at = SimTime::from_nanos(now + rng.range_u64(0, 100_000));
+                        for _ in 0..rng.range_u64(2, 9) {
+                            push(&mut wheel, &mut heap, at);
+                        }
+                    }
+                    _ => {
+                        let bits = rng.range_u64(1, 34);
+                        let delay = rng.range_u64(1, 1 << bits);
+                        push(&mut wheel, &mut heap, SimTime::from_nanos(now + delay));
+                    }
+                }
+            }
+            assert_eq!(wheel.peek_time(), heap.peek_time());
+            assert_eq!(wheel.len(), heap.len());
+            assert_eq!(wheel.now(), heap.now());
+        }
+        loop {
+            let (a, b) = (wheel.pop(), heap.pop());
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+        assert_eq!(wheel.pushed_total(), heap.pushed_total());
+        assert_eq!(wheel.popped_total(), heap.popped_total());
+    }
+
+    #[test]
+    fn hold_model_matches_heap_short_queue() {
+        hold_model_matches_heap(200, 200_000, 1);
+    }
+
+    #[test]
+    fn hold_model_matches_heap_long_queue() {
+        hold_model_matches_heap(5_000, 200_000, 2);
+    }
+
+    /// Counts its own drops in a shared cell.
+    struct DropCounter(std::rc::Rc<std::cell::Cell<u64>>);
+
+    impl Drop for DropCounter {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    #[test]
+    fn every_payload_drops_exactly_once() {
+        let drops = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut q = EventQueue::new();
+        // Spread over wheel levels and the spill.
+        for i in 0..1_000u64 {
+            let at = SimTime::from_nanos(i * 7_919 % 3_000 * 3_000_000);
+            q.push(at, DropCounter(drops.clone()));
+        }
+        for _ in 0..400 {
+            drop(q.pop());
+        }
+        assert_eq!(drops.get(), 400);
+        // Refill freed slab slots while older payloads are still pending.
+        for i in 0..100 {
+            q.push(
+                q.now() + SimDuration::from_nanos(i),
+                DropCounter(drops.clone()),
+            );
+        }
+        for _ in 0..50 {
+            drop(q.pop());
+        }
+        assert_eq!(drops.get(), 450);
+        assert_eq!(q.len(), 650);
+        drop(q);
+        assert_eq!(drops.get(), 1_100);
+        assert_eq!(std::rc::Rc::strong_count(&drops), 1);
     }
 
     proptest! {
