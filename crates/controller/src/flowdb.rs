@@ -51,29 +51,6 @@ impl FlowInfoDatabase {
         FlowInfoDatabase::default()
     }
 
-    /// An empty database pre-sized for about `flows` concurrent flows.
-    ///
-    /// The database only holds *active* flows (entries are removed when
-    /// their rules time out), so the right hint is
-    /// `expected arrival rate × rule idle timeout`, not total flows over a
-    /// run. Pre-sizing avoids rehash-and-move churn while a DDoS surge
-    /// grows the table.
-    pub fn with_capacity(flows: usize) -> Self {
-        FlowInfoDatabase {
-            flows: FxHashMap::with_capacity_and_hasher(flows, Default::default()),
-        }
-    }
-
-    /// Reserve room for at least `additional` more flows.
-    pub fn reserve(&mut self, additional: usize) {
-        self.flows.reserve(additional);
-    }
-
-    /// Allocated capacity (≥ len).
-    pub fn capacity(&self) -> usize {
-        self.flows.capacity()
-    }
-
     /// Record a newly seen flow. Returns `true` if it was genuinely new.
     /// An existing record is left untouched (retransmitted first packets
     /// must not reset provenance).
@@ -148,13 +125,6 @@ impl FlowInfoDatabase {
             .iter()
             .filter(|(_, f)| f.path == FlowPath::Overlay)
     }
-
-    /// Flows whose first hop is the given switch.
-    pub fn flows_entering_at(&self, switch: NodeId) -> impl Iterator<Item = (&FlowKey, &FlowInfo)> {
-        self.flows
-            .iter()
-            .filter(move |(_, f)| f.first_hop == switch)
-    }
 }
 
 #[cfg(test)]
@@ -170,27 +140,6 @@ mod tests {
             sport: n,
             dport: 80,
         }
-    }
-
-    #[test]
-    fn with_capacity_presizes() {
-        let mut db = FlowInfoDatabase::with_capacity(1000);
-        assert!(db.capacity() >= 1000);
-        assert!(db.is_empty());
-        let before = db.capacity();
-        for n in 0..500 {
-            db.record(
-                key(n),
-                NodeId(1),
-                PortId(0),
-                SimTime::ZERO,
-                FlowPath::Overlay,
-            );
-        }
-        // No rehash while filling within the hint.
-        assert_eq!(db.capacity(), before);
-        db.reserve(5000);
-        assert!(db.capacity() >= 5500);
     }
 
     #[test]
@@ -261,27 +210,6 @@ mod tests {
         let overlay: Vec<_> = db.overlay_flows().map(|(k, _)| *k).collect();
         assert_eq!(overlay.len(), 2);
         assert!(!overlay.contains(&key(2)));
-    }
-
-    #[test]
-    fn flows_entering_at_filters_by_switch() {
-        let mut db = FlowInfoDatabase::new();
-        db.record(
-            key(1),
-            NodeId(1),
-            PortId(0),
-            SimTime::ZERO,
-            FlowPath::Overlay,
-        );
-        db.record(
-            key(2),
-            NodeId(2),
-            PortId(0),
-            SimTime::ZERO,
-            FlowPath::Overlay,
-        );
-        assert_eq!(db.flows_entering_at(NodeId(1)).count(), 1);
-        assert_eq!(db.flows_entering_at(NodeId(3)).count(), 0);
     }
 
     #[test]

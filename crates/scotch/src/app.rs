@@ -271,16 +271,6 @@ impl ScotchApp {
         }
     }
 
-    /// Pre-size the per-flow state for about `flows` concurrent flows
-    /// (`expected arrival rate × rule idle timeout`, derived from the
-    /// workload spec by `Scenario`). Avoids rehash churn while a surge
-    /// grows the flow database.
-    pub fn reserve_flow_capacity(&mut self, flows: usize) {
-        self.flowdb.reserve(flows);
-        self.pending.reserve(flows.min(1 << 16));
-        self.cookie_keys.reserve(flows);
-    }
-
     /// Register a physical switch with its safe rule budget `R`.
     pub fn register_switch(&mut self, node: NodeId, rule_budget: f64) {
         let sched = RuleScheduler::new(

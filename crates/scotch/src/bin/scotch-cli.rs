@@ -822,9 +822,7 @@ fn explain_main(args: &[String]) -> i32 {
         always: eopts.journeys.clone(),
         ..JourneyConfig::default()
     };
-    let sim = build_scenario(opts)
-        .with_journeys(config)
-        .build_until(opts.seed, horizon);
+    let sim = build_scenario(opts).with_journeys(config).build(opts.seed);
     let names: Vec<String> = (0..sim.topo.node_count() as u32)
         .map(|n| sim.topo.name(scotch_net::NodeId(n)).to_string())
         .collect();
@@ -1335,7 +1333,7 @@ fn run_hotpath(iters: u32, quiet: bool, sampling_rate: f64) -> Vec<BenchResult> 
     for (name, make, horizon) in hotpath_scenarios(sampling_rate) {
         let mut best: Option<(u64, f64)> = None; // (events, wall)
         for _ in 0..iters {
-            let sim = make().build_until(HOTPATH_SEED, horizon);
+            let sim = make().build(HOTPATH_SEED);
             let start = std::time::Instant::now();
             let report = sim.run(horizon);
             let wall = start.elapsed().as_secs_f64();
@@ -1480,7 +1478,7 @@ fn bench_main(args: &[String]) -> i32 {
     if opts.profile {
         eprintln!("dispatch-cost profile (wall clock; observability-only, never golden):");
         for (name, make, horizon) in hotpath_scenarios(opts.sampling_rate) {
-            let mut sim = make().build_until(HOTPATH_SEED, horizon);
+            let mut sim = make().build(HOTPATH_SEED);
             sim.enable_profiling();
             let start = std::time::Instant::now();
             let report = sim.run(horizon);
@@ -1597,7 +1595,7 @@ fn overhead_walls(
             if let Some(rate) = journey_rate {
                 s = s.with_journey_rate(rate);
             }
-            let sim = s.build_until(HOTPATH_SEED, horizon);
+            let sim = s.build(HOTPATH_SEED);
             let start = std::time::Instant::now();
             let _ = sim.run(horizon);
             wall[slot] = start.elapsed().as_secs_f64();
@@ -2064,7 +2062,7 @@ fn run_main(args: &[String]) -> i32 {
     };
 
     let horizon = SimTime::from_secs_f64(opts.duration);
-    let mut sim = build_scenario(&opts).build_until(opts.seed, horizon);
+    let mut sim = build_scenario(&opts).build(opts.seed);
     let pcap_node = opts.pcap.as_ref().and_then(|(name, _)| {
         let found = (0..sim.topo.node_count() as u32)
             .map(scotch_net::NodeId)

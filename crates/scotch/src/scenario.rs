@@ -46,6 +46,10 @@ impl FlowSource for ScriptedSource {
     fn next_arrival(&mut self) -> Option<FlowArrival> {
         self.arrivals.pop_front()
     }
+
+    fn expected_arrivals(&self, until: SimTime) -> f64 {
+        self.arrivals.iter().filter(|a| a.at <= until).count() as f64
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -411,34 +415,6 @@ impl Scenario {
         self
     }
 
-    /// Expected concurrent flowdb population: total arrival rate times the
-    /// entry lifetime — the rule idle timeout (entries live until their
-    /// rules idle out), clamped by the run horizon when known so short
-    /// smoke runs don't reserve a table several times larger than they can
-    /// ever fill (an oversized map costs cache misses on every lookup).
-    /// Used to pre-size the controller's flow state (capped — the hint is
-    /// an optimization, not a commitment).
-    fn expected_flow_count(&self, horizon_secs: f64) -> usize {
-        let mut rate = 0.0;
-        if let Some(a) = &self.attack {
-            rate += a.rate;
-        }
-        if let Some(c) = &self.clients {
-            rate += c.rate;
-        }
-        if let Some(r) = self.trace_rate {
-            rate += r;
-        }
-        let lifetime = self
-            .config
-            .rule_idle_timeout
-            .as_secs_f64()
-            .min(horizon_secs);
-        let expected = rate * lifetime;
-        let elephants = self.elephants.map(|e| e.count).unwrap_or(0);
-        ((expected as usize) + elephants).min(1 << 22)
-    }
-
     /// Client address.
     pub fn client_ip() -> IpAddr {
         IpAddr::new(10, 0, 0, 1)
@@ -460,25 +436,12 @@ impl Scenario {
         IpAddr::new(10, 0, 2, r as u8)
     }
 
-    /// Build the simulation. Deterministic in `(self, seed)`.
+    /// Build the simulation. Deterministic in `(self, seed)`. Per-flow
+    /// state is sized later, when [`Simulation::run`] learns the horizon.
     pub fn build(self, seed: u64) -> Simulation {
-        self.build_for(seed, f64::INFINITY)
-    }
-
-    /// Build the simulation for a run that will stop at `until`: identical
-    /// to [`Scenario::build`] except the flowdb capacity hint is clamped by
-    /// the horizon (a 2 s smoke run should not reserve 10 s worth of
-    /// flows).
-    pub fn build_until(self, seed: u64, until: SimTime) -> Simulation {
-        let horizon = until.as_nanos() as f64 / 1e9;
-        self.build_for(seed, horizon)
-    }
-
-    fn build_for(self, seed: u64, horizon_secs: f64) -> Simulation {
         let tracing = self.tracing.clone();
         let journeys = self.journeys.clone();
         let chaos_plan = self.chaos_plan.clone();
-        let flow_hint = self.expected_flow_count(horizon_secs);
         let mut sim = match self.kind {
             TopoKind::SingleSwitch => self.build_single_switch(seed),
             TopoKind::Datacenter => self.build_datacenter(seed),
@@ -503,16 +466,19 @@ impl Scenario {
             let mut rng = SimRng::new(seed);
             sim.apply_fault_plan(&plan, rng.fork(0xC4A05));
         }
-        if flow_hint > 0 {
-            sim.app.reserve_flow_capacity(flow_hint);
-        }
         sim
     }
 
-    /// Build and run until `until` (via [`Scenario::build_until`], so the
-    /// flowdb capacity hint is horizon-clamped).
+    /// Identical to [`Scenario::build`]; `until` is not needed to build.
+    /// Kept for callers written against the horizon-taking signature, such
+    /// as the benchmark in `perfbench/`.
+    pub fn build_until(self, seed: u64, _until: SimTime) -> Simulation {
+        self.build(seed)
+    }
+
+    /// Build and run until `until`.
     pub fn run(self, until: SimTime, seed: u64) -> Report {
-        self.build_until(seed, until).run(until)
+        self.build(seed).run(until)
     }
 
     /// Enable the telemetry sampler on a freshly built vSwitch when the
@@ -594,7 +560,7 @@ impl Scenario {
         sim.add_host(server, Self::server_ip(0));
         sim.add_host(attacker, Self::attacker_ip());
 
-        self.attach_workloads(&mut sim, attacker, client, &mut rng);
+        self.attach_workloads(&mut sim, attacker, client, &[], &mut rng);
         sim
     }
 
@@ -710,7 +676,7 @@ impl Scenario {
             sim.join_vswitch_at(backups[idx], at);
         }
 
-        self.attach_workloads(&mut sim, attacker, client, &mut rng);
+        self.attach_workloads(&mut sim, attacker, client, &[], &mut rng);
         sim
     }
 
@@ -844,21 +810,11 @@ impl Scenario {
             .enumerate()
             .map(|(r, h)| (*h, Self::rack_client_ip(r), Self::server_ip(r)))
             .collect();
-        self.attach_workloads_with(&mut sim, attacker, client, &rack, &mut rng);
+        self.attach_workloads(&mut sim, attacker, client, &rack, &mut rng);
         sim
     }
 
     fn attach_workloads(
-        &self,
-        sim: &mut Simulation,
-        attacker: NodeId,
-        client: NodeId,
-        rng: &mut SimRng,
-    ) {
-        self.attach_workloads_with(sim, attacker, client, &[], rng);
-    }
-
-    fn attach_workloads_with(
         &self,
         sim: &mut Simulation,
         attacker: NodeId,

@@ -23,7 +23,7 @@ use scotch_sim::{
 };
 use scotch_switch::middlebox::{MbVerdict, Middlebox};
 use scotch_switch::{DropReason, Output, PhysicalSwitch, VSwitch};
-use scotch_workload::{FlowArrival, FlowSource, FlowSpec};
+use scotch_workload::{FlowArrival, FlowSource};
 
 /// Discrete events.
 pub(crate) enum Event {
@@ -33,8 +33,16 @@ pub(crate) enum Event {
         port: PortId,
         packet: Packet,
     },
-    /// A source host emits packet `seq` of flow `flow_idx`.
-    EmitPacket { flow_idx: usize, seq: u32 },
+    /// Host `src_host` emits packet `seq` of flow `flow_idx`: `size`
+    /// bytes, the next one `gap` later. These emit-only fields ride in the
+    /// event so the per-flow record can be the report's [`FlowOutcome`].
+    EmitPacket {
+        flow_idx: u32,
+        seq: u32,
+        src_host: NodeId,
+        size: u32,
+        gap: SimDuration,
+    },
     /// Pull the next arrival from workload source `source_idx`.
     SourceNext { source_idx: usize },
     /// A switch→controller message arrives at the controller (subject to
@@ -44,8 +52,10 @@ pub(crate) enum Event {
     /// its hot variant (`Arrive`): every event is copied into the event
     /// queue's payload slab on push and out of it on pop, and the slab
     /// holds one `Event`-sized slot per pending event, while control
-    /// events are comparatively rare. The wheel itself moves only 24-byte
-    /// keys, so whether unboxing would now pay is an open measurement.
+    /// events are comparatively rare. Measured: `Event` is 72 B (pinned
+    /// below), a `SwitchToController` is 80 B, and a `ControllerToSwitch`
+    /// is 168 B because its `FlowEntry` (160 B) is inline, so unboxing
+    /// `CtrlToSwitch` would more than double every slab slot.
     CtrlFromSwitch {
         from: NodeId,
         msg: Box<SwitchToController>,
@@ -101,6 +111,10 @@ pub(crate) enum Event {
     /// partition itself expires by timestamp comparison).
     ClearCtrlPartition,
 }
+
+// Every pending event occupies one `Event`-sized slab slot; a variant that
+// outgrows `Arrive` would widen them all.
+const _: () = assert!(std::mem::size_of::<Event>() == 72);
 
 /// Dispatch-profile row labels: the 21 [`Event`] kinds plus refined rows
 /// that split the hottest variants by what actually happened inside them.
@@ -302,7 +316,9 @@ const CTRL_RX_KIND_NAMES: [&str; 6] = [
 /// with both halves handed out contiguously by `FlowIdAllocator`, so two
 /// levels of `Vec` replace hashing on the per-packet delivery path (and the
 /// rehash churn of growing a map by hundreds of thousands of flows).
-/// Stored values are `index + 1`; 0 marks an empty slot.
+/// Stored values are `index + 1`; 0 marks an empty slot. A stream's `Vec`
+/// is reserved once, from its source's expected arrivals, when its first
+/// id lands.
 #[derive(Default)]
 pub(crate) struct FlowIndex {
     streams: Vec<Vec<u32>>,
@@ -321,7 +337,9 @@ impl FlowIndex {
         }
     }
 
-    fn insert(&mut self, id: scotch_net::FlowId, idx: usize) {
+    /// Map `id` to record `idx`, reserving `reserve` slots the first time
+    /// `id`'s stream grows.
+    fn insert(&mut self, id: scotch_net::FlowId, idx: u32, reserve: usize) {
         let stream = (id.0 >> 48) as usize;
         let seq = (id.0 & Self::SEQ_MASK) as usize;
         if stream >= self.streams.len() {
@@ -329,22 +347,24 @@ impl FlowIndex {
         }
         let v = &mut self.streams[stream];
         if seq >= v.len() {
+            if v.capacity() == 0 {
+                v.reserve_exact(reserve);
+            }
             v.resize(seq + 1, 0);
         }
-        v[seq] = u32::try_from(idx + 1).expect("flow record index fits u32");
+        v[seq] = idx.checked_add(1).expect("flow record index fits u32");
     }
 }
 
-pub(crate) struct FlowRecord {
-    pub(crate) spec: FlowSpec,
-    pub(crate) src_host: NodeId,
-    pub(crate) started_at: SimTime,
-    pub(crate) emitted: u32,
-    pub(crate) delivered: u32,
-    pub(crate) delivered_bytes: u64,
-    pub(crate) first_delivered: Option<SimTime>,
-    pub(crate) last_delivered: Option<SimTime>,
-    pub(crate) served_by: Option<scotch_controller::flowdb::FlowPath>,
+/// Most flow records, and most flow-index slots per stream, reserved when a
+/// run starts. Past it the buffers grow on demand.
+const MAX_RESERVED_FLOWS: usize = 1 << 22;
+
+/// Slots for `expected` Poisson arrivals: the mean, a 4σ margin, and 64
+/// more for the arrival each source pulls ahead of the clock. Capped at
+/// [`MAX_RESERVED_FLOWS`].
+fn reserve_for(expected: f64) -> usize {
+    ((expected + 4.0 * expected.sqrt() + 64.0) as usize).min(MAX_RESERVED_FLOWS)
 }
 
 /// Per-origin chaos stream, forked lazily from the plan seed exactly like
@@ -368,8 +388,12 @@ pub struct Simulation {
     pub(crate) host_ip: NodeMap<IpAddr>,
     pub(crate) ip_host: FxHashMap<IpAddr, NodeId>,
     pub(crate) sources: Vec<(NodeId, Box<dyn FlowSource>)>,
-    pub(crate) flows: Vec<FlowRecord>,
+    /// One record per flow, in arrival order: the report's own type, so
+    /// the report takes the buffer as it is. Reserved when the run starts.
+    pub(crate) flows: Vec<FlowOutcome>,
     pub(crate) flow_index: FlowIndex,
+    /// Flow-index slots to reserve for each source's stream, by source.
+    pub(crate) stream_reserve: Vec<usize>,
     pub(crate) tracked: FxHashMap<scotch_net::FlowId, Vec<(SimTime, SimDuration)>>,
     pub(crate) captures: NodeMap<crate::pcap::PcapCapture>,
     pub(crate) events: EventQueue<Event>,
@@ -437,6 +461,7 @@ impl Simulation {
             sources: Vec::new(),
             flows: Vec::new(),
             flow_index: FlowIndex::default(),
+            stream_reserve: Vec::new(),
             tracked: FxHashMap::default(),
             captures: NodeMap::new(),
             events: EventQueue::new(),
@@ -1305,15 +1330,12 @@ impl Simulation {
     }
 
     fn deliver(&mut self, now: SimTime, host: NodeId, packet: Packet) {
-        // Journey terminal.
-        if self.app.journeys.is_enabled() && self.host_ip.get(host) == Some(&packet.key.dst) {
-            self.journey_mark(now, &packet, JourneyPoint::Deliver, host.0, 0);
-        }
-        let expected = self.host_ip.get(host);
-        if expected != Some(&packet.key.dst) {
+        if self.host_ip.get(host) != Some(&packet.key.dst) {
             self.misrouted += 1;
             return;
         }
+        // Journey terminal.
+        self.journey_mark(now, &packet, JourneyPoint::Deliver, host.0, 0);
         if let Some(idx) = self.flow_index.get(packet.flow_id) {
             let rec = &mut self.flows[idx];
             rec.delivered += 1;
@@ -1325,7 +1347,7 @@ impl Simulation {
                 rec.served_by = self.app.flowdb.get(&packet.key).map(|i| i.path);
             }
             rec.last_delivered = Some(now);
-            if !rec.spec.is_attack {
+            if !rec.is_attack {
                 self.latency
                     .record(now.duration_since(packet.born_at).as_nanos() as f64);
             }
@@ -1349,15 +1371,18 @@ impl Simulation {
             .get(&flow.key.src)
             .copied()
             .unwrap_or(*default_host);
-        let idx = self.flows.len();
-        self.flow_index.insert(flow.id, idx);
-        self.flows.push(FlowRecord {
-            spec: flow,
-            src_host,
-            started_at: at,
+        let flow_idx = u32::try_from(self.flows.len()).expect("flow record index fits u32");
+        self.flow_index
+            .insert(flow.id, flow_idx, self.stream_reserve[source_idx]);
+        self.flows.push(FlowOutcome {
+            id: flow.id,
+            key: flow.key,
+            is_attack: flow.is_attack,
             emitted: 0,
+            intended: flow.packets,
             delivered: 0,
             delivered_bytes: 0,
+            started_at: at,
             first_delivered: None,
             last_delivered: None,
             served_by: None,
@@ -1365,26 +1390,34 @@ impl Simulation {
         self.events.push(
             at,
             Event::EmitPacket {
-                flow_idx: idx,
+                flow_idx,
                 seq: 0,
+                src_host,
+                size: flow.packet_size,
+                gap: flow.packet_interval,
             },
         );
         self.events.push(at, Event::SourceNext { source_idx });
     }
 
-    fn on_emit(&mut self, now: SimTime, flow_idx: usize, seq: u32) {
-        let (packet, src_host, more) = {
-            let rec = &mut self.flows[flow_idx];
-            let spec = &rec.spec;
-            let mut p = if seq == 0 {
-                Packet::flow_start(spec.key, spec.id, now).with_size(spec.packet_size)
-            } else {
-                Packet::data(spec.key, spec.id, now, seq, spec.packet_size)
-            };
-            p.is_attack = spec.is_attack;
-            rec.emitted += 1;
-            (p, rec.src_host, seq + 1 < spec.packets)
+    fn on_emit(
+        &mut self,
+        now: SimTime,
+        flow_idx: u32,
+        seq: u32,
+        src_host: NodeId,
+        size: u32,
+        gap: SimDuration,
+    ) {
+        let rec = &mut self.flows[flow_idx as usize];
+        rec.emitted += 1;
+        let more = seq + 1 < rec.intended;
+        let mut packet = if seq == 0 {
+            Packet::flow_start(rec.key, rec.id, now).with_size(size)
+        } else {
+            Packet::data(rec.key, rec.id, now, seq, size)
         };
+        packet.is_attack = rec.is_attack;
         self.journey_mark(now, &packet, JourneyPoint::Emit, src_host.0, 0);
         // Hosts have exactly one uplink; `run()` validated its existence at
         // startup, so a miss here is an internal invariant violation.
@@ -1395,18 +1428,21 @@ impl Simulation {
             .expect("scenario error: emitting host has no uplink port");
         self.transmit(now, src_host, uplink, packet);
         if more {
-            let gap = self.flows[flow_idx].spec.packet_interval;
             self.events.push(
                 now + gap,
                 Event::EmitPacket {
                     flow_idx,
                     seq: seq + 1,
+                    src_host,
+                    size,
+                    gap,
                 },
             );
         }
     }
 
-    /// Validate the scenario and seed the initial events.
+    /// Validate the scenario, size the per-flow state for a run to
+    /// `until`, and seed the initial events.
     ///
     /// # Panics
     ///
@@ -1414,7 +1450,7 @@ impl Simulation {
     /// uplink port — that is a scenario construction error, not a runtime
     /// condition, and silently misdirecting its traffic would corrupt
     /// every downstream metric.
-    fn start(&mut self) {
+    fn start(&mut self, until: SimTime) {
         for (host, _) in self.host_ip.iter() {
             assert!(
                 self.topo.port_iter(host).next().is_some(),
@@ -1431,6 +1467,15 @@ impl Simulation {
                 default_host
             );
         }
+        // Reserve the flow records, and each source's flow-index stream, for
+        // the arrivals expected by `until`, so neither doubles mid-run.
+        let shares: Vec<f64> = self
+            .sources
+            .iter()
+            .map(|(_, s)| s.expected_arrivals(until))
+            .collect();
+        self.flows.reserve_exact(reserve_for(shares.iter().sum()));
+        self.stream_reserve = shares.into_iter().map(reserve_for).collect();
         // Seed periodic events and sources.
         let tick = self.app.config.tick_interval;
         let poll = self.app.config.stats_poll_interval;
@@ -1456,7 +1501,14 @@ impl Simulation {
     /// Panics if any registered host (or workload default host) has no
     /// uplink port (see [`Simulation::start`]).
     pub fn run(mut self, until: SimTime) -> Report {
-        self.start();
+        let processed = self.run_events(until);
+        self.into_report(until, processed)
+    }
+
+    /// Start, process every event due by `until`, and (chaos runs) tally
+    /// what is still in flight. Returns the number of events processed.
+    fn run_events(&mut self, until: SimTime) -> u64 {
+        self.start(until);
         let mut processed = 0u64;
         let mut overflow_event: Option<Event> = None;
         while let Some((now, ev)) = self.events.pop() {
@@ -1479,8 +1531,7 @@ impl Simulation {
             }
             self.tally_remaining();
         }
-
-        self.into_report(until, processed)
+        processed
     }
 
     /// Run sequentially: identical to [`Simulation::run`]. Both `shards`
@@ -1509,7 +1560,13 @@ impl Simulation {
         }
         match ev {
             Event::Arrive { node, port, packet } => self.on_arrive(now, node, port, packet),
-            Event::EmitPacket { flow_idx, seq } => self.on_emit(now, flow_idx, seq),
+            Event::EmitPacket {
+                flow_idx,
+                seq,
+                src_host,
+                size,
+                gap,
+            } => self.on_emit(now, flow_idx, seq, src_host, size, gap),
             Event::SourceNext { source_idx } => self.on_source_next(source_idx),
             Event::CtrlFromSwitch { from, msg } => {
                 if now < self.chaos.stall_until {
@@ -2014,23 +2071,7 @@ impl Simulation {
 
         Report {
             duration: until.duration_since(SimTime::ZERO),
-            flows: self
-                .flows
-                .into_iter()
-                .map(|r| FlowOutcome {
-                    id: r.spec.id,
-                    key: r.spec.key,
-                    is_attack: r.spec.is_attack,
-                    emitted: r.emitted,
-                    intended: r.spec.packets,
-                    delivered: r.delivered,
-                    delivered_bytes: r.delivered_bytes,
-                    started_at: r.started_at,
-                    first_delivered: r.first_delivered,
-                    last_delivered: r.last_delivered,
-                    served_by: r.served_by,
-                })
-                .collect(),
+            flows: self.flows,
             app: self.app.stats(),
             switches,
             vswitches,
@@ -2047,5 +2088,82 @@ impl Simulation {
             journeys: journeys.take_marks(),
             profile,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Scenario;
+    use scotch_switch::SwitchProfile;
+    use scotch_workload::flash::RateProfile;
+
+    /// The benchmark's `flood_single` and `fabric_cluster` shapes, plus a
+    /// flash crowd whose rate is integrated rather than constant.
+    const SHAPES: [fn() -> Scenario; 3] = [
+        || {
+            Scenario::single_switch(SwitchProfile::pica8_pronto_3780())
+                .with_clients(100.0)
+                .with_attack(20_000.0)
+        },
+        || {
+            Scenario::multirack(8, 1)
+                .with_interrack_propagation(SimDuration::from_micros(200))
+                .with_rack_clients(400.0)
+                .with_clients(100.0)
+                .with_attack(2_000.0)
+                .with_controllers(3)
+        },
+        || {
+            Scenario::overlay_datacenter(2).with_flash_crowd(RateProfile {
+                base: 200.0,
+                peak: 8_000.0,
+                surge_start: SimTime::from_millis(200),
+                peak_start: SimTime::from_millis(400),
+                peak_end: SimTime::from_millis(600),
+                surge_end: SimTime::from_millis(800),
+            })
+        },
+    ];
+
+    #[test]
+    fn flow_state_is_reserved_once_from_the_horizon() {
+        let until = SimTime::from_secs(1);
+        for (i, shape) in SHAPES.iter().enumerate() {
+            for seed in [20141202, 5130527] {
+                let mut sim = shape().build(seed);
+                let n: f64 = sim
+                    .sources
+                    .iter()
+                    .map(|(_, s)| s.expected_arrivals(until))
+                    .sum();
+                sim.run_events(until);
+                let (flows, reserved) = (sim.flows.len(), reserve_for(n));
+                // Never regrown: a regrown Vec has at least double capacity.
+                assert_eq!(sim.flows.capacity(), reserved, "shape {i} seed {seed}");
+                // The estimate is within its own margin of the count, so the
+                // unused capacity is at most twice the margin.
+                assert!(
+                    (flows as f64 - n).abs() <= reserved as f64 - n,
+                    "shape {i} seed {seed}: {flows} flows, {n} expected"
+                );
+                // Source k draws ids from stream k, reserved from its share.
+                for (stream, &r) in sim.flow_index.streams.iter().zip(&sim.stream_reserve) {
+                    assert!(stream.len() <= r, "shape {i} seed {seed}");
+                    assert_eq!(stream.capacity(), r, "shape {i} seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flow_reservation_is_capped() {
+        let mut sim = SHAPES[0]().with_attack(1e9).build(1);
+        // 1e9 flows/s until the scenario's 3600 s horizon: 3.6e12 expected.
+        sim.start(SimTime::from_secs(1_000_000_000));
+        assert_eq!(sim.flows.capacity(), MAX_RESERVED_FLOWS);
+        assert_eq!(sim.stream_reserve[0], MAX_RESERVED_FLOWS);
+        assert_eq!(reserve_for(f64::INFINITY), MAX_RESERVED_FLOWS);
+        assert_eq!(reserve_for(f64::NAN), 0);
     }
 }

@@ -65,8 +65,7 @@ pub struct ClientWorkload {
     /// attacker, so every probe is a fresh (src, dst) rule.
     pub spoof_range: Option<u32>,
     poisson: bool,
-    /// Activation start (kept for introspection; arrivals begin here).
-    #[allow(dead_code)]
+    /// Activation start: arrivals begin here.
     start: SimTime,
     end: SimTime,
     next_at: Option<SimTime>,
@@ -185,6 +184,10 @@ impl FlowSource for ClientWorkload {
                 is_attack: false,
             },
         })
+    }
+
+    fn expected_arrivals(&self, until: SimTime) -> f64 {
+        self.rate * self.end.min(until).duration_since(self.start).as_secs_f64()
     }
 }
 

@@ -33,8 +33,7 @@ pub struct DdosAttacker {
     /// 1.5 KB packets leave the data plane idle).
     pub packet_size: u32,
     spacing: Spacing,
-    /// Activation start (kept for introspection; arrivals begin here).
-    #[allow(dead_code)]
+    /// Activation start: arrivals begin here.
     start: SimTime,
     end: SimTime,
     next_at: Option<SimTime>,
@@ -107,6 +106,10 @@ impl FlowSource for DdosAttacker {
                 is_attack: true,
             },
         })
+    }
+
+    fn expected_arrivals(&self, until: SimTime) -> f64 {
+        self.rate * self.end.min(until).duration_since(self.start).as_secs_f64()
     }
 }
 

@@ -52,6 +52,15 @@ impl RateProfile {
             self.base
         }
     }
+
+    /// Expected arrivals over `[from, to)`: the rate integrated by the
+    /// midpoint rule over 1024 steps (zero when `to <= from`).
+    pub(crate) fn integral(&self, from: SimTime, to: SimTime) -> f64 {
+        let step = to.duration_since(from).as_secs_f64() / 1024.0;
+        let rate =
+            |i: u32| self.rate_at(from + SimDuration::from_secs_f64(step * (f64::from(i) + 0.5)));
+        (0..1024).map(rate).sum::<f64>() * step
+    }
 }
 
 /// Many clients hitting one service at a time-varying rate.
@@ -71,8 +80,7 @@ pub struct FlashCrowd {
     pub packets_per_flow: u32,
     /// Packet size in bytes.
     pub packet_size: u32,
-    /// Activation start (kept for introspection; arrivals begin here).
-    #[allow(dead_code)]
+    /// Activation start: arrivals begin here.
     start: SimTime,
     end: SimTime,
     next_at: Option<SimTime>,
@@ -130,6 +138,10 @@ impl FlowSource for FlashCrowd {
             },
         })
     }
+
+    fn expected_arrivals(&self, until: SimTime) -> f64 {
+        self.profile.integral(self.start, self.end.min(until))
+    }
 }
 
 #[cfg(test)]
@@ -156,6 +168,11 @@ mod tests {
         assert_eq!(p.rate_at(SimTime::from_secs(5)), 2000.0);
         assert_eq!(p.rate_at(SimTime::from_secs(9)), 1025.0); // midway down
         assert_eq!(p.rate_at(SimTime::from_secs(20)), 50.0);
+        // 2 s of base, two 2 s ramps averaging 1025, 4 s of peak, 2 s base.
+        let arrivals = |a, b| p.integral(SimTime::from_secs(a), SimTime::from_secs(b));
+        assert!((arrivals(0, 12) - 12_300.0).abs() < 0.1);
+        assert!((arrivals(3, 5) - 3_512.5).abs() < 0.1);
+        assert_eq!(arrivals(6, 5), 0.0);
     }
 
     #[test]

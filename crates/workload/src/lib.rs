@@ -74,6 +74,13 @@ pub struct FlowArrival {
 pub trait FlowSource: Send {
     /// The next arrival, or `None` when the source is exhausted.
     fn next_arrival(&mut self) -> Option<FlowArrival>;
+
+    /// Mean number of arrivals at or before `until`: the source's rate
+    /// integrated over its active window. A capacity hint for per-flow
+    /// state, not a bound; a source that cannot tell returns 0.
+    fn expected_arrivals(&self, _until: SimTime) -> f64 {
+        0.0
+    }
 }
 
 /// Allocates globally unique flow ids to generators.

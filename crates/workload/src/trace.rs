@@ -27,8 +27,7 @@ pub struct TraceWorkload {
     pub packet_size: u32,
     /// Intra-flow packet gap.
     pub packet_interval: SimDuration,
-    /// Activation start (kept for introspection; arrivals begin here).
-    #[allow(dead_code)]
+    /// Activation start: arrivals begin here.
     start: SimTime,
     end: SimTime,
     next_at: Option<SimTime>,
@@ -113,6 +112,10 @@ impl FlowSource for TraceWorkload {
                 is_attack: false,
             },
         })
+    }
+
+    fn expected_arrivals(&self, until: SimTime) -> f64 {
+        self.rate * self.end.min(until).duration_since(self.start).as_secs_f64()
     }
 }
 
