@@ -9,7 +9,7 @@
 use scotch::scenario::Scenario;
 use scotch_net::{FlowId, FlowKey, IpAddr, Packet, PortId};
 use scotch_openflow::{
-    Action, Bucket, FlowEntry, GroupEntry, Match, Pipeline, SelectionPolicy, TableId,
+    Action, Bucket, FlowEntry, FlowTable, GroupEntry, Match, Pipeline, SelectionPolicy, TableId,
 };
 use scotch_sim::rate::FifoServer;
 use scotch_sim::{EventQueue, SimDuration, SimRng, SimTime};
@@ -69,14 +69,47 @@ fn bench_flow_table(filter: &Option<String>) {
                     FlowEntry::apply(
                         Match::src_dst(key(i).src, key(i).dst),
                         100,
-                        vec![Action::Output(PortId(1))],
+                        [Action::Output(PortId(1))],
                     ),
                 )
                 .unwrap();
         }
         let pkt = Packet::flow_start(key(n_rules as u32 / 2), FlowId(1), SimTime::ZERO);
+        let mut actions = Vec::new();
         bench(filter, &format!("flow_table_lookup/{n_rules}"), || {
-            pipeline.process(SimTime::ZERO, black_box(&pkt), PortId(0))
+            pipeline.process_into(SimTime::ZERO, black_box(&pkt), PortId(0), &mut actions)
+        });
+    }
+    // Rule churn in steady state at about `n` live rules: 2000 is near the
+    // single-switch flood's table size, 80000 near the leaf-spine fabric's
+    // peak. Each op advances 1 µs, installs one src/dst rule, hits the rule
+    // installed n/4 ops earlier (pushing its idle deadline out, so sweeps
+    // re-bound it once), and every n/40 ops runs an expiry sweep. A rule
+    // lives n/4 + 3n/4 = n ops.
+    for n in [2000u32, 80_000] {
+        let mut table = FlowTable::new(2 * n as usize);
+        let idle = SimDuration::from_nanos(3 * n as u64 / 4 * 1_000);
+        let mut k = 0u32;
+        let mut until_sweep = n / 40;
+        let mut removed = 0u64;
+        bench(filter, &format!("flow_table_churn_{n}"), || {
+            let now = SimTime::from_nanos(k as u64 * 1_000);
+            let rule = FlowEntry::apply(
+                Match::src_dst(key(k).src, key(k).dst),
+                100,
+                [Action::Output(PortId(1))],
+            )
+            .with_idle_timeout(idle);
+            table.insert(now, rule).expect("churn stays below capacity");
+            let hit = Packet::flow_start(key(k.wrapping_sub(n / 4)), FlowId(1), now);
+            table.match_packet(now, black_box(&hit), PortId(0));
+            until_sweep -= 1;
+            if until_sweep == 0 {
+                until_sweep = n / 40;
+                table.expire(now, |_| removed += 1);
+            }
+            k = k.wrapping_add(1);
+            removed
         });
     }
 }
@@ -88,15 +121,13 @@ fn bench_group_select(filter: &Option<String>) {
         GroupEntry::select(
             SelectionPolicy::FlowHash,
             (0..8)
-                .map(|i| Bucket::new(vec![Action::Output(PortId(i))]))
+                .map(|i| Bucket::new([Action::Output(PortId(i))]))
                 .collect(),
         ),
     );
     let mut i = 0u32;
     bench(filter, "group_select_hash_8_buckets", || {
         i = i.wrapping_add(1);
-        // `select` returns a borrow of the chosen bucket's actions; reduce
-        // to an owned value so the closure result can escape.
         table
             .select(scotch_openflow::GroupId(1), black_box(&key(i)))
             .map(|acts| acts.len())

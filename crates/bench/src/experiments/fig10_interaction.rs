@@ -29,7 +29,7 @@ fn loss_ratio(insert_rate: f64, data_pps: f64, secs: f64, seed: u64) -> f64 {
             command: FlowModCommand::Add(FlowEntry::apply(
                 Match::ANY,
                 1,
-                vec![Action::Output(PortId(1))],
+                [Action::Output(PortId(1))],
             )),
         },
     );
@@ -60,7 +60,7 @@ fn loss_ratio(insert_rate: f64, data_pps: f64, secs: f64, seed: u64) -> f64 {
                     command: FlowModCommand::Add(FlowEntry::apply(
                         Match::src_dst(IpAddr(0x0b00_0000 + rule_i), IpAddr::new(9, 9, 9, 9)),
                         2,
-                        vec![],
+                        [],
                     )),
                 },
             );

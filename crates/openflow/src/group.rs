@@ -11,7 +11,7 @@
 //! compares them) and bucket liveness so the controller can swap a failed
 //! vSwitch's bucket for its backup (§5.6).
 
-use crate::ofmatch::Action;
+use crate::ofmatch::Actions;
 use scotch_net::FlowKey;
 use scotch_sim::hash::FxHashMap;
 
@@ -44,7 +44,7 @@ pub enum SelectionPolicy {
 pub struct Bucket {
     /// Actions executed when this bucket is selected (for Scotch: push the
     /// tunnel label and output toward the tunnel's first hop).
-    pub actions: Vec<Action>,
+    pub actions: Actions,
     /// Liveness flag, toggled by the controller on vSwitch failure.
     pub alive: bool,
     /// Packets that selected this bucket.
@@ -53,9 +53,9 @@ pub struct Bucket {
 
 impl Bucket {
     /// A live bucket with the given actions.
-    pub fn new(actions: Vec<Action>) -> Self {
+    pub fn new(actions: impl Into<Actions>) -> Self {
         Bucket {
-            actions,
+            actions: actions.into(),
             alive: true,
             packet_count: 0,
         }
@@ -87,7 +87,7 @@ impl GroupEntry {
 
     /// Select a bucket for `key` and return its actions. `None` if every
     /// bucket is dead.
-    pub fn select_bucket(&mut self, key: &FlowKey) -> Option<&[Action]> {
+    pub fn select_bucket(&mut self, key: &FlowKey) -> Option<Actions> {
         // Live buckets are selected by rank without materializing an index
         // vector: bucket counts are tiny and this runs once per packet.
         let live_count = self.buckets.iter().filter(|b| b.alive).count();
@@ -111,7 +111,7 @@ impl GroupEntry {
             .map(|(i, _)| i)
             .expect("nth < live_count");
         self.buckets[idx].packet_count += 1;
-        Some(&self.buckets[idx].actions)
+        Some(self.buckets[idx].actions)
     }
 }
 
@@ -147,10 +147,9 @@ impl GroupTable {
         self.groups.get_mut(&id)
     }
 
-    /// Run a packet's flow key through group `id`; returns the chosen
-    /// bucket's actions, borrowed (the hot path copies them into a caller
-    /// scratch buffer instead of allocating per packet).
-    pub fn select(&mut self, id: GroupId, key: &FlowKey) -> Option<&[Action]> {
+    /// Run a packet's flow key through group `id`; returns a copy of the
+    /// chosen bucket's inline actions.
+    pub fn select(&mut self, id: GroupId, key: &FlowKey) -> Option<Actions> {
         let entry = self.groups.get_mut(&id)?;
         entry.select_bucket(key)
     }
@@ -169,6 +168,7 @@ impl GroupTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ofmatch::Action;
     use proptest::prelude::*;
     use scotch_net::{IpAddr, PortId};
 
@@ -178,7 +178,7 @@ mod tests {
 
     fn buckets(n: usize) -> Vec<Bucket> {
         (0..n)
-            .map(|i| Bucket::new(vec![Action::Output(PortId(i as u16))]))
+            .map(|i| Bucket::new([Action::Output(PortId(i as u16))]))
             .collect()
     }
 
@@ -188,7 +188,7 @@ mod tests {
         let k = key(42);
         let first = g.select_bucket(&k).unwrap().to_vec();
         for _ in 0..10 {
-            assert_eq!(g.select_bucket(&k).unwrap(), first.as_slice());
+            assert_eq!(g.select_bucket(&k).unwrap().as_slice(), first.as_slice());
         }
     }
 
@@ -227,7 +227,7 @@ mod tests {
         g.buckets[0].alive = false;
         for s in 0..50 {
             let acts = g.select_bucket(&key(s)).unwrap();
-            assert_eq!(acts, &[Action::Output(PortId(1))]);
+            assert_eq!(acts.as_slice(), &[Action::Output(PortId(1))]);
         }
         assert_eq!(g.buckets[0].packet_count, 0);
     }
@@ -272,7 +272,7 @@ mod tests {
         };
         t.get_mut(GroupId(7)).unwrap().buckets[port.0 as usize].alive = false;
         let after = t.select(GroupId(7), &k).unwrap();
-        assert_ne!(before, after);
+        assert_ne!(before.as_slice(), after.as_slice());
     }
 
     proptest! {

@@ -25,5 +25,5 @@ pub mod table;
 
 pub use group::{Bucket, GroupEntry, GroupId, GroupTable, GroupType, SelectionPolicy};
 pub use messages::{ControllerToSwitch, FlowModCommand, PacketInReason, SwitchToController};
-pub use ofmatch::{Action, Instruction, Match};
-pub use table::{FlowEntry, FlowTable, Pipeline, PipelineVerdict, TableId};
+pub use ofmatch::{Action, Actions, Match, MAX_ACTIONS};
+pub use table::{FlowEntry, FlowTable, Pipeline, TableId};

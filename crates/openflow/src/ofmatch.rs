@@ -1,4 +1,4 @@
-//! Match fields, actions, and instructions.
+//! Match fields and actions.
 //!
 //! Every field of a [`Match`] is optional — `None` wildcards it. The
 //! paper's experiments install rules keyed on (source IP, destination IP);
@@ -163,13 +163,77 @@ impl Action {
     }
 }
 
-/// An OpenFlow instruction: apply actions and/or continue in a later table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Instruction {
-    /// Apply the action list immediately.
-    Apply(Vec<Action>),
-    /// Continue matching in the given table.
-    GotoTable(super::table::TableId),
+/// Most actions one rule or group bucket can carry. Scotch's longest list
+/// has two (push a tunnel label, then output).
+pub const MAX_ACTIONS: usize = 4;
+
+/// An inline action list of at most [`MAX_ACTIONS`] actions, applied in
+/// order. It is `Copy` and lives inside its [`FlowEntry`] or
+/// [`Bucket`], so an installed rule owns no heap block; it derefs to
+/// `[Action]`.
+///
+/// Build it from an array. An array longer than [`MAX_ACTIONS`] fails
+/// at compile time:
+///
+/// ```compile_fail
+/// use scotch_openflow::{Action, Actions};
+/// let _ = Actions::from([Action::PopLabel; 5]);
+/// ```
+///
+/// [`FlowEntry`]: crate::table::FlowEntry
+/// [`Bucket`]: crate::group::Bucket
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Actions {
+    /// `list[..len]` are the actions; the tail is always `Action::Drop`,
+    /// so the derived equality compares the lists.
+    list: [Action; MAX_ACTIONS],
+    len: u8,
+}
+
+impl Actions {
+    /// The empty list.
+    const EMPTY: Actions = Actions {
+        list: [Action::Drop; MAX_ACTIONS],
+        len: 0,
+    };
+
+    /// The actions, in order.
+    pub fn as_slice(&self) -> &[Action] {
+        &self.list[..self.len as usize]
+    }
+}
+
+/// Evaluated once per array length `N` used with `Actions::from`: an
+/// over-long array is a compile error, not a runtime panic.
+struct FitsInline<const N: usize>;
+
+impl<const N: usize> FitsInline<N> {
+    const OK: () = assert!(N <= MAX_ACTIONS, "more than MAX_ACTIONS actions");
+}
+
+impl<const N: usize> From<[Action; N]> for Actions {
+    fn from(actions: [Action; N]) -> Self {
+        #[allow(clippy::let_unit_value)]
+        let () = FitsInline::<N>::OK;
+        let mut list = Actions::EMPTY;
+        list.list[..N].copy_from_slice(&actions);
+        list.len = N as u8;
+        list
+    }
+}
+
+impl core::ops::Deref for Actions {
+    type Target = [Action];
+
+    fn deref(&self) -> &[Action] {
+        self.as_slice()
+    }
+}
+
+impl core::fmt::Debug for Actions {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
 }
 
 #[cfg(test)]
@@ -266,5 +330,18 @@ mod tests {
             Action::push_ingress(PortId(7)),
             Action::PushLabel(Label::IngressPort(7))
         );
+    }
+
+    #[test]
+    fn actions_are_inline_and_ordered() {
+        let a = Actions::from([Action::PopLabel, Action::Output(PortId(2))]);
+        assert_eq!(a.len(), 2);
+        assert_eq!(a.as_slice(), &[Action::PopLabel, Action::Output(PortId(2))]);
+        // The filler past `len` is canonical, so lists compare by content.
+        assert_eq!(Actions::from([]), Actions::EMPTY);
+        assert_ne!(a, Actions::from([Action::PopLabel]));
+        assert_eq!(format!("{:?}", Actions::from([Action::Drop])), "[Drop]");
+        let full = Actions::from([Action::PopLabel; MAX_ACTIONS]);
+        assert_eq!(full.len(), MAX_ACTIONS);
     }
 }

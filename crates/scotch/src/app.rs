@@ -31,8 +31,8 @@ use scotch_controller::{
 use scotch_net::{FlowKey, IpAddr, NodeId, Packet, PortId, Topology, TunnelId};
 use scotch_openflow::messages::{GroupModCommand, OfError};
 use scotch_openflow::{
-    Action, Bucket, ControllerToSwitch, FlowEntry, FlowModCommand, GroupEntry, GroupId,
-    Instruction, Match, SwitchToController, TableId,
+    Action, Actions, Bucket, ControllerToSwitch, FlowEntry, FlowModCommand, GroupEntry, GroupId,
+    Match, SwitchToController, TableId,
 };
 use scotch_sim::journey::{
     JourneyPoint, JourneyRecorder, VERDICT_DIRECT, VERDICT_DROP, VERDICT_DUPLICATE,
@@ -321,7 +321,7 @@ impl ScotchApp {
             let g1 = FlowEntry::apply(
                 Match::ANY.with_top_label(Some(scotch_net::Label::Tunnel(tin))),
                 GREEN_RULE_PRIORITY + 10,
-                vec![Action::PopLabel, Action::Output(mb_in_port)],
+                [Action::PopLabel, Action::Output(mb_in_port)],
             );
             cmds.push(Command::new(
                 chain.upstream,
@@ -351,7 +351,7 @@ impl ScotchApp {
                     let g2 = FlowEntry::apply(
                         Match::on_port(mb_return_port).with_top_label(None),
                         GREEN_RULE_PRIORITY,
-                        vec![
+                        [
                             Action::PushLabel(scotch_net::Label::Tunnel(tout)),
                             Action::Output(out_port),
                         ],
@@ -881,14 +881,14 @@ impl ScotchApp {
                     let Some(port) = topo.port_towards(*node, next) else {
                         continue;
                     };
-                    vec![Action::push_tunnel(*t), Action::Output(port)]
+                    Actions::from([Action::push_tunnel(*t), Action::Output(port)])
                 }
                 None => {
                     // Last hop: the host vSwitch delivers to the host.
                     let Some(port) = topo.port_towards(*node, dst_att.host) else {
                         continue;
                     };
-                    vec![Action::Output(port)]
+                    Actions::from([Action::Output(port)])
                 }
             };
             let entry = FlowEntry::apply(matcher, PHYSICAL_RULE_PRIORITY, actions)
@@ -1090,7 +1090,7 @@ impl ScotchApp {
                 let Some(port) = topo.port_towards(switch, next) else {
                     continue;
                 };
-                let mut b = Bucket::new(vec![Action::push_tunnel(*t), Action::Output(port)]);
+                let mut b = Bucket::new([Action::push_tunnel(*t), Action::Output(port)]);
                 b.alive = *self.overlay.alive.get(i).unwrap_or(&true);
                 buckets.push(b);
             }
@@ -1115,14 +1115,12 @@ impl ScotchApp {
         // before tables or match higher-priority label rules).
         let mut labelled = Vec::new();
         for port in topo.ports(switch) {
-            let entry = FlowEntry::new(
+            let entry = FlowEntry::apply(
                 Match::on_port(port).with_top_label(None),
                 PORT_RULE_PRIORITY,
-                vec![
-                    Instruction::Apply(vec![Action::push_ingress(port)]),
-                    Instruction::GotoTable(TableId(1)),
-                ],
-            );
+                [Action::push_ingress(port)],
+            )
+            .with_goto(TableId(1));
             out.push(Command::new(
                 switch,
                 ControllerToSwitch::FlowMod {
@@ -1138,11 +1136,7 @@ impl ScotchApp {
             switch,
             ControllerToSwitch::FlowMod {
                 table: TableId(1),
-                command: FlowModCommand::Add(FlowEntry::apply(
-                    Match::ANY,
-                    0,
-                    vec![Action::Group(gid)],
-                )),
+                command: FlowModCommand::Add(FlowEntry::apply(Match::ANY, 0, [Action::Group(gid)])),
             },
         ));
 
@@ -1199,14 +1193,12 @@ impl ScotchApp {
 
         let mut deferred = Vec::new();
         for (key, ingress) in pins {
-            let entry = FlowEntry::new(
+            let entry = FlowEntry::apply(
                 self.flow_matcher(&key),
                 PIN_RULE_PRIORITY,
-                vec![
-                    Instruction::Apply(vec![Action::push_ingress(ingress)]),
-                    Instruction::GotoTable(TableId(1)),
-                ],
+                [Action::push_ingress(ingress)],
             )
+            .with_goto(TableId(1))
             .with_idle_timeout(self.config.rule_idle_timeout);
             deferred.push(Command::new(
                 switch,
@@ -1447,7 +1439,7 @@ impl ScotchApp {
             let Some(port) = topo.port_towards(switch, next) else {
                 continue;
             };
-            let mut b = Bucket::new(vec![Action::push_tunnel(*t), Action::Output(port)]);
+            let mut b = Bucket::new([Action::push_tunnel(*t), Action::Output(port)]);
             b.alive = *self.overlay.alive.get(i).unwrap_or(&true);
             buckets.push(b);
         }

@@ -62,8 +62,6 @@ pub struct PhysicalSwitch {
     stats: SwitchStats,
     /// Reusable per-packet action scratch (steady-state zero allocation).
     action_buf: Vec<Action>,
-    /// Reusable scratch for group-selected actions.
-    group_buf: Vec<Action>,
 }
 
 impl PhysicalSwitch {
@@ -80,7 +78,6 @@ impl PhysicalSwitch {
             profile,
             stats: SwitchStats::default(),
             action_buf: Vec::new(),
-            group_buf: Vec::new(),
         }
     }
 
@@ -242,25 +239,20 @@ impl PhysicalSwitch {
                     // group→group chains on most hardware; Scotch needs one
                     // level only).
                     if depth == 0 {
-                        let mut acts = std::mem::take(&mut self.group_buf);
-                        acts.clear();
-                        let found = match self.groups.select(*g, &pkt.key) {
+                        // The bucket's inline actions are copied out, so
+                        // the group table's borrow ends here.
+                        match self.groups.select(*g, &pkt.key) {
                             Some(chosen) => {
-                                acts.extend_from_slice(chosen);
-                                true
+                                self.execute_actions(now, in_port, pkt, &chosen, 1, out)
                             }
-                            None => false,
-                        };
-                        if found {
-                            self.execute_actions(now, in_port, pkt, &acts, 1, out);
-                        } else {
-                            self.stats.dropped_other += 1;
-                            out.push(Output::Dropped {
-                                reason: DropReason::NoRoute,
-                                packet: pkt,
-                            });
+                            None => {
+                                self.stats.dropped_other += 1;
+                                out.push(Output::Dropped {
+                                    reason: DropReason::NoRoute,
+                                    packet: pkt,
+                                });
+                            }
                         }
-                        self.group_buf = acts;
                     }
                 }
             }
@@ -365,12 +357,11 @@ impl PhysicalSwitch {
         }
     }
 
-    /// Expire timed-out entries, emitting FlowRemoved notifications.
-    pub fn expire_flows(&mut self, now: SimTime) -> Vec<Output> {
-        self.pipeline
-            .expire(now)
-            .into_iter()
-            .map(|(table, e)| Output::ToController {
+    /// Expire timed-out entries, appending their FlowRemoved notifications
+    /// to `out`.
+    pub fn expire_flows(&mut self, now: SimTime, out: &mut Vec<Output>) {
+        self.pipeline.expire(now, |table, e| {
+            out.push(Output::ToController {
                 at: now + SimDuration::from_millis(1),
                 msg: SwitchToController::FlowRemoved {
                     table,
@@ -380,7 +371,7 @@ impl PhysicalSwitch {
                     byte_count: e.byte_count,
                 },
             })
-            .collect()
+        });
     }
 }
 
@@ -436,11 +427,7 @@ mod tests {
         let mut s = sw();
         add_rule(
             &mut s,
-            FlowEntry::apply(
-                Match::exact(pkt(1).key),
-                10,
-                vec![Action::Output(PortId(2))],
-            ),
+            FlowEntry::apply(Match::exact(pkt(1).key), 10, [Action::Output(PortId(2))]),
         );
         let outs = s.handle_packet(SimTime::from_millis(10), PortId(0), pkt(1));
         match &outs[0] {
@@ -481,11 +468,7 @@ mod tests {
                 SimTime::ZERO,
                 ControllerToSwitch::FlowMod {
                     table: TableId(0),
-                    command: FlowModCommand::Add(FlowEntry::apply(
-                        Match::exact(pkt(i).key),
-                        1,
-                        vec![],
-                    )),
+                    command: FlowModCommand::Add(FlowEntry::apply(Match::exact(pkt(i).key), 1, [])),
                 },
             );
             if let Some(Output::ToController {
@@ -512,11 +495,7 @@ mod tests {
                 SimTime::from_secs(i as u64),
                 ControllerToSwitch::FlowMod {
                     table: TableId(0),
-                    command: FlowModCommand::Add(FlowEntry::apply(
-                        Match::exact(pkt(i).key),
-                        1,
-                        vec![],
-                    )),
+                    command: FlowModCommand::Add(FlowEntry::apply(Match::exact(pkt(i).key), 1, [])),
                 },
             );
             if let Some(Output::ToController {
@@ -544,15 +523,15 @@ mod tests {
                 command: GroupModCommand::Install(GroupEntry::select(
                     SelectionPolicy::FlowHash,
                     vec![
-                        Bucket::new(vec![Action::Output(PortId(10))]),
-                        Bucket::new(vec![Action::Output(PortId(11))]),
+                        Bucket::new([Action::Output(PortId(10))]),
+                        Bucket::new([Action::Output(PortId(11))]),
                     ],
                 )),
             },
         );
         add_rule(
             &mut s,
-            FlowEntry::apply(Match::ANY, 1, vec![Action::Group(GroupId(1))]),
+            FlowEntry::apply(Match::ANY, 1, [Action::Group(GroupId(1))]),
         );
         let mut ports = std::collections::HashSet::new();
         for i in 0..64u16 {
@@ -589,7 +568,7 @@ mod tests {
         let mut s = sw();
         add_rule(
             &mut s,
-            FlowEntry::apply(Match::exact(pkt(1).key), 5, vec![Action::Output(PortId(1))])
+            FlowEntry::apply(Match::exact(pkt(1).key), 5, [Action::Output(PortId(1))])
                 .with_cookie(42),
         );
         s.handle_packet(SimTime::from_millis(5), PortId(0), pkt(1).with_size(500));
@@ -638,12 +617,14 @@ mod tests {
         let mut s = sw();
         add_rule(
             &mut s,
-            FlowEntry::apply(Match::exact(pkt(1).key), 5, vec![])
+            FlowEntry::apply(Match::exact(pkt(1).key), 5, [])
                 .with_hard_timeout(SimDuration::from_secs(10))
                 .with_cookie(7),
         );
-        assert!(s.expire_flows(SimTime::from_secs(5)).is_empty());
-        let outs = s.expire_flows(SimTime::from_secs(11));
+        let mut outs = Vec::new();
+        s.expire_flows(SimTime::from_secs(5), &mut outs);
+        assert!(outs.is_empty());
+        s.expire_flows(SimTime::from_secs(11), &mut outs);
         assert!(matches!(
             outs[0],
             Output::ToController {
@@ -659,7 +640,7 @@ mod tests {
         // Pre-install a forwarding rule so data packets hit the fast path.
         add_rule(
             &mut s,
-            FlowEntry::apply(Match::ANY, 1, vec![Action::Output(PortId(1))]),
+            FlowEntry::apply(Match::ANY, 1, [Action::Output(PortId(1))]),
         );
         // Warm up: 1000 pps data, no insertion load -> no loss.
         let mut lost_before = 0;
@@ -692,7 +673,7 @@ mod tests {
                     command: FlowModCommand::Add(FlowEntry::apply(
                         Match::exact(pkt((i % 60000) as u16).key),
                         2,
-                        vec![],
+                        [],
                     )),
                 },
             );

@@ -84,10 +84,6 @@ pub struct VSwitch {
     /// When true the vSwitch is failed: it forwards nothing and answers no
     /// heartbeats (§5.6 failure experiments).
     pub failed: bool,
-    /// Reusable per-packet action scratch (steady-state zero allocation).
-    action_buf: Vec<Action>,
-    /// Reusable scratch for group-selected actions.
-    group_buf: Vec<Action>,
     /// Telemetry sampler (`None` = exhaustive stats export).
     sampler: Option<PacketSampler>,
 }
@@ -111,8 +107,6 @@ impl VSwitch {
             profile,
             stats: VSwitchStats::default(),
             failed: false,
-            action_buf: Vec::new(),
-            group_buf: Vec::new(),
             sampler: None,
         }
     }
@@ -227,14 +221,13 @@ impl VSwitch {
             }
         }
 
-        // Copy the matched entry's actions into the reusable scratch
-        // buffer (actions are `Copy`): no per-packet allocation, and the
-        // table borrow ends before `execute_actions` needs `&mut self`.
-        let mut actions = std::mem::take(&mut self.action_buf);
-        actions.clear();
+        // Copy the matched entry's inline actions out (they are `Copy`):
+        // the table borrow ends before `execute_actions` needs `&mut self`.
         let sampler = &mut self.sampler;
-        let matched = match self.table.match_packet_mut(now, &packet, in_port) {
-            Some(entry) => {
+        let matched = self
+            .table
+            .match_packet_mut(now, &packet, in_port)
+            .map(|entry| {
                 // Telemetry sampling: the sampler advances once per
                 // matched packet; a pick lands on the matched entry's
                 // sampled counters (one predicted branch when disabled).
@@ -244,21 +237,12 @@ impl VSwitch {
                         entry.sampled_bytes += packet.size as u64;
                     }
                 }
-                for inst in &entry.instructions {
-                    if let scotch_openflow::Instruction::Apply(a) = inst {
-                        actions.extend_from_slice(a);
-                    }
-                }
-                true
-            }
-            None => false,
-        };
-        if matched {
-            self.execute_actions(now, in_port, packet, &actions, 0, out);
-        } else {
-            self.punt_to_controller(now, in_port, packet, via_tunnel, ingress_label, out);
+                entry.actions
+            });
+        match matched {
+            Some(actions) => self.execute_actions(now, in_port, packet, &actions, 0, out),
+            None => self.punt_to_controller(now, in_port, packet, via_tunnel, ingress_label, out),
         }
-        self.action_buf = actions;
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -327,24 +311,19 @@ impl VSwitch {
                 }
                 Action::Group(g) => {
                     if depth == 0 {
-                        let mut acts = std::mem::take(&mut self.group_buf);
-                        acts.clear();
-                        let found = match self.groups.select(*g, &pkt.key) {
+                        // The bucket's inline actions are copied out, so
+                        // the group table's borrow ends here.
+                        match self.groups.select(*g, &pkt.key) {
                             Some(chosen) => {
-                                acts.extend_from_slice(chosen);
-                                true
+                                self.execute_actions(now, in_port, pkt, &chosen, 1, out)
                             }
-                            None => false,
-                        };
-                        if found {
-                            self.execute_actions(now, in_port, pkt, &acts, 1, out);
-                        } else {
-                            out.push(Output::Dropped {
-                                reason: DropReason::NoRoute,
-                                packet: pkt,
-                            });
+                            None => {
+                                out.push(Output::Dropped {
+                                    reason: DropReason::NoRoute,
+                                    packet: pkt,
+                                });
+                            }
                         }
-                        self.group_buf = acts;
                     }
                 }
             }
@@ -476,12 +455,11 @@ impl VSwitch {
         }
     }
 
-    /// Expire timed-out entries, emitting FlowRemoved notifications.
-    pub fn expire_flows(&mut self, now: SimTime) -> Vec<Output> {
-        self.table
-            .expire(now)
-            .into_iter()
-            .map(|e| Output::ToController {
+    /// Expire timed-out entries, appending their FlowRemoved notifications
+    /// to `out`.
+    pub fn expire_flows(&mut self, now: SimTime, out: &mut Vec<Output>) {
+        self.table.expire(now, |e| {
+            out.push(Output::ToController {
                 at: now + SimDuration::from_micros(500),
                 msg: SwitchToController::FlowRemoved {
                     table: TableId(0),
@@ -491,7 +469,7 @@ impl VSwitch {
                     byte_count: e.byte_count,
                 },
             })
-            .collect()
+        });
     }
 }
 
@@ -571,7 +549,7 @@ mod tests {
                 command: FlowModCommand::Add(FlowEntry::apply(
                     Match::exact(pkt(1).key),
                     10,
-                    vec![Action::push_tunnel(TunnelId(2)), Action::Output(PortId(1))],
+                    [Action::push_tunnel(TunnelId(2)), Action::Output(PortId(1))],
                 )),
             },
         );
@@ -642,7 +620,7 @@ mod tests {
             ControllerToSwitch::FlowMod {
                 table: TableId(0),
                 command: FlowModCommand::Add(
-                    FlowEntry::apply(Match::exact(pkt(1).key), 1, vec![]).with_cookie(5),
+                    FlowEntry::apply(Match::exact(pkt(1).key), 1, []).with_cookie(5),
                 ),
             },
         );
@@ -666,7 +644,7 @@ mod tests {
                     FlowEntry::apply(
                         Match::exact(pkt(sport).key),
                         10,
-                        vec![Action::Output(PortId(1))],
+                        [Action::Output(PortId(1))],
                     )
                     .with_cookie(cookie),
                 ),
